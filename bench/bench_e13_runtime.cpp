@@ -188,5 +188,7 @@ int run(const std::string& json_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return run(argc > 1 ? argv[1] : "BENCH_runtime.json");
+  return run(cs::bench::parse_bench_args(argc, argv, "BENCH_runtime.json",
+                                         /*has_quick=*/false)
+                 .out);
 }

@@ -8,10 +8,10 @@
 // deltas — from-scratch pays O(n^3) closure work per epoch while the
 // incremental path touches O(n^2).
 //
-// The scenario grid is a superset of bench_e11_pipeline's (same names,
+// The scenario grid is a superset of the retired E11 bench's (same names,
 // same seeds, same perturbation streams), so BENCH_csr.json is directly
-// comparable against BENCH_pipeline.json arm for arm.  Output path:
-// argv[1], default ./BENCH_csr.json.
+// comparable against its checked-in record, BENCH_pipeline.json, arm for
+// arm.  Usage: bench_e15_csr [PATH | --out PATH] (default ./BENCH_csr.json).
 
 #include <chrono>
 #include <fstream>
@@ -33,7 +33,7 @@ double seconds_since(Clock::time_point start) {
 }
 
 /// Sparse m̃ls-shaped graph: bidirectional ring plus random chords, small
-/// positive weights — the same generator (and seeds) as bench_e11_pipeline.
+/// positive weights — the same generator (and seeds) as the E11 record.
 struct MlsInstance {
   std::size_t n{0};
   std::vector<Edge> edges;
@@ -294,5 +294,7 @@ int run(const std::string& json_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return run(argc > 1 ? argv[1] : "BENCH_csr.json");
+  return run(cs::bench::parse_bench_args(argc, argv, "BENCH_csr.json",
+                                         /*has_quick=*/false)
+                 .out);
 }

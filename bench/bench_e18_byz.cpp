@@ -307,14 +307,7 @@ int run(bool quick, const std::string& json_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string out = "BENCH_byz.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick")
-      quick = true;
-    else
-      out = arg;
-  }
-  return run(quick, out);
+  const cs::bench::BenchArgs args = cs::bench::parse_bench_args(
+      argc, argv, "BENCH_byz.json", /*has_quick=*/true);
+  return run(args.quick, args.out);
 }

@@ -211,13 +211,8 @@ SessionsResult run_sessions(std::size_t clients, Metrics& metrics) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string out_path = "BENCH_net.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") quick = true;
-    else if (arg == "--out" && i + 1 < argc) out_path = argv[++i];
-  }
+  const cs::bench::BenchArgs args = cs::bench::parse_bench_args(
+      argc, argv, "BENCH_net.json", /*has_quick=*/true);
 
   cs::bench::print_header("E19", "wire-scale transport");
   cs::bench::BenchJson json("e19_net");
@@ -252,7 +247,7 @@ int main(int argc, char** argv) {
   bool ok = batched_ratio >= 3.0;
 
   // ---- concurrent sessions --------------------------------------------
-  const std::size_t clients = quick ? 128 : 1200;
+  const std::size_t clients = args.quick ? 128 : 1200;
   cs::Metrics metrics;
   const SessionsResult sr = run_sessions(clients, metrics);
   if (sr.frames == 0 && sr.sessions == 0) return 2;
@@ -260,13 +255,13 @@ int main(int argc, char** argv) {
       "sessions, one process (%zu loopback clients%s):\n"
       "  sessions created %zu, peak %zu  (gate: >= 1000 in full mode)\n"
       "  frames %llu in %.3f s (%.0f frames/s), sample echoes %llu\n",
-      sr.clients, quick ? ", --quick" : "", sr.sessions, sr.peak,
+      sr.clients, args.quick ? ", --quick" : "", sr.sessions, sr.peak,
       static_cast<unsigned long long>(sr.frames), sr.elapsed,
       static_cast<double>(sr.frames) / sr.elapsed,
       static_cast<unsigned long long>(sr.echoed));
   json.scenario("sessions")
       .field("clients", sr.clients)
-      .field("mode", quick ? "quick" : "full")
+      .field("mode", args.quick ? "quick" : "full")
       .field("sessions_created", sr.sessions)
       .field("peak_sessions", sr.peak)
       .field("frames_received", static_cast<std::size_t>(sr.frames))
@@ -279,9 +274,9 @@ int main(int argc, char** argv) {
       .field("decode_errors",
              static_cast<std::size_t>(
                  metrics.counter("runtime.net.decode_error")));
-  ok = ok && sr.ok && (quick || sr.sessions >= 1000);
+  ok = ok && sr.ok && (args.quick || sr.sessions >= 1000);
 
-  if (!json.write(out_path)) return 2;
+  if (!json.write(args.out)) return 2;
   std::printf("\nE19 gates: %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
 }

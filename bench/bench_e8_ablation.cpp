@@ -1,8 +1,10 @@
 // E8 — Design-choice ablations.
 //
-// (a) Cycle mean: Karp's exact O(nm) algorithm (the paper's choice) vs a
+// (a) Cycle mean: Karp's exact O(nm) algorithm (the paper's choice) vs
+//     Howard's policy iteration (the dense kernel SHIFTS runs) vs a
 //     Lawler-style binary search on negative-cycle detection.  Expected:
-//     both agree to tolerance; Karp is faster and exact.
+//     all agree to tolerance; Karp and Howard to rounding, bsearch to its
+//     1e-9 stopping width.
 // (b) APSP for GLOBAL ESTIMATES: Johnson vs Floyd-Warshall.  Expected:
 //     identical matrices; Johnson wins on sparse network graphs, loses or
 //     ties on dense ones.
@@ -14,6 +16,7 @@
 #include <chrono>
 #include <cmath>
 
+#include "graph/arena.hpp"
 #include "support.hpp"
 
 namespace {
@@ -42,17 +45,30 @@ int main() {
     for (const std::size_t n : {8u, 16u, 32u, 64u}) {
       Rng rng(n);
       Digraph g(n);
+      // Howard runs as SHIFTS runs it: the dense kernel on the same
+      // weights as a row-major matrix (diagonal unused).
+      std::vector<double> w(n * n, 0.0);
       for (NodeId p = 0; p < n; ++p)
         for (NodeId q = 0; q < n; ++q)
-          if (p != q) g.add_edge(p, q, rng.uniform(-1.0, 1.0));
+          if (p != q) {
+            w[p * n + q] = rng.uniform(-1.0, 1.0);
+            g.add_edge(p, q, w[p * n + q]);
+          }
+      EpochArena arena;
+      std::vector<NodeId> policy(n);
+      const auto howard = [&] {
+        arena.reset();
+        return max_cycle_mean_howard_dense(w.data(), n, {}, policy, arena,
+                                           nullptr)
+            .mean;
+      };
       const double karp_us =
           time_us([&] { (void)max_cycle_mean_karp(g); }, 20);
-      const double how_us =
-          time_us([&] { (void)max_cycle_mean_howard(g); }, 20);
+      const double how_us = time_us([&] { (void)howard(); }, 20);
       const double bs_us =
           time_us([&] { (void)max_cycle_mean_bsearch(g, 1e-9); }, 5);
       const double karp = *max_cycle_mean_karp(g);
-      const double diff_h = std::fabs(karp - *max_cycle_mean_howard(g));
+      const double diff_h = std::fabs(karp - howard());
       const double diff_b =
           std::fabs(karp - *max_cycle_mean_bsearch(g, 1e-9));
       table.add_row({std::to_string(n), Table::num(karp_us),

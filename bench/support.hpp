@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -73,6 +75,61 @@ inline double guaranteed(const SyncOutcome& opt,
 
 inline void print_header(const std::string& id, const std::string& title) {
   std::cout << "\n==== " << id << ": " << title << " ====\n";
+}
+
+/// Parsed command line of a JSON-writing bench.
+struct BenchArgs {
+  bool quick{false};
+  std::string out;
+};
+
+/// The one command line every JSON-writing bench takes:
+///
+///   NAME [--quick] [PATH | --out PATH] [--help]
+///
+/// `--quick` exists only where the bench has a quick mode (`has_quick`).
+/// --help prints usage and exits 0 without running.  An unknown flag, a
+/// second output path or a bare --out prints usage to stderr and exits 2.
+inline BenchArgs parse_bench_args(int argc, char** argv,
+                                  const std::string& default_out,
+                                  bool has_quick) {
+  const std::string name =
+      argc > 0 ? std::filesystem::path(argv[0]).filename().string()
+               : "bench";
+  const std::string usage = "usage: " + name +
+                            (has_quick ? " [--quick]" : "") +
+                            " [PATH | --out PATH]\n  writes JSON to PATH "
+                            "(default " +
+                            default_out + ")\n";
+  const auto fail = [&](const std::string& why) {
+    std::cerr << name << ": " << why << "\n" << usage;
+    std::exit(2);
+  };
+
+  BenchArgs args{false, default_out};
+  bool have_out = false;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    std::string path;
+    if (arg == "--help") {
+      std::cout << usage;
+      std::exit(0);
+    } else if (arg == "--quick" && has_quick) {
+      args.quick = true;
+      continue;
+    } else if (arg == "--out") {
+      if (i + 1 >= argc || argv[i + 1][0] == '-') fail("--out needs a path");
+      path = argv[++i];
+    } else if (arg.starts_with("-")) {
+      fail("unknown flag '" + arg + "'");
+    } else {
+      path = arg;
+    }
+    if (have_out) fail("more than one output path");
+    args.out = path;
+    have_out = true;
+  }
+  return args;
 }
 
 /// Builder for the standard bench-JSON shape shared by the instrumented

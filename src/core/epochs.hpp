@@ -78,7 +78,7 @@ std::vector<EpochOutcome> epochal_synchronize(
 /// delta-aware update and warm-starts Howard's policy iteration from epoch
 /// k's policy (when options.sync.cycle_mean is kHoward).  Consecutive
 /// epoch cuts differ in few m̃ls edges, so this is the fast path for long
-/// boundary sequences; BENCH_pipeline.json tracks the speedup.
+/// boundary sequences; BENCH_csr.json tracks the speedup.
 /// options.sync.metrics additionally receives per-epoch stage timings and
 /// incremental-vs-rebuild hit counters.
 std::vector<EpochOutcome> epochal_synchronize_incremental(

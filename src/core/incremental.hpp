@@ -18,7 +18,7 @@
 // Results are equivalent to synchronize() up to float tolerance — enforced
 // by the 200-sequence property test in
 // tests/core/incremental_pipeline_test.cpp; the speedup on single-edge-
-// change epochs is tracked in BENCH_pipeline.json (bench/bench_e11).
+// change epochs is tracked in BENCH_csr.json (bench/bench_e15_csr).
 #pragma once
 
 #include <span>

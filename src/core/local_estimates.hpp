@@ -31,11 +31,11 @@ Digraph local_shift_estimates(const SystemModel& model,
 Digraph local_shifts_actual(const SystemModel& model, const Execution& exec);
 
 /// Shared kernel: m̃ls (or mls) graph from pre-aggregated per-direction
-/// statistics.  Used by the coordinator protocol, whose leader receives
-/// remotely aggregated stats rather than raw views.  Note: time-aware
+/// statistics.  Used by NetDaemon's leader (net/daemon.hpp), which receives
+/// remotely aggregated extremes rather than raw views.  Note: time-aware
 /// constraints (windowed bias) fall back to their conservative stats-only
-/// envelope on this path — the coordinator's report format carries only
-/// extremes.  Use the traffic path for full fidelity.
+/// envelope on this path — an extremes-only report carries nothing else.
+/// Use the traffic path for full fidelity.
 Digraph mls_graph_from_stats(const SystemModel& model,
                              const LinkStats& stats);
 

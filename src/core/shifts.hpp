@@ -53,7 +53,10 @@ struct ShiftsResult {
 
 /// Which maximum-cycle-mean algorithm drives step 1.  Karp is the paper's
 /// prescription and the default; Howard's policy iteration is measurably
-/// faster on large dense instances (bench E8a) with identical results.
+/// faster on large dense instances (bench E8a).  The two agree only up to
+/// float rounding: their Ã^max routinely differ in the last bits, which
+/// DESIGN.md's tolerance contract (tolerance_scale × max(1, |Ã^max|))
+/// absorbs.
 enum class CycleMeanAlgorithm { kKarp, kHoward };
 
 struct ShiftsOptions {

@@ -6,9 +6,10 @@
 //   Ã^max = max over cycles θ of ( Σ m̃s-weights on θ / |θ| )     (§4.4)
 //
 // The paper prescribes Karp's O(nm) characterization [Karp, Disc. Math. 23
-// (1978)].  We provide Karp as the primary implementation, a binary-search
-// (Lawler-style) alternative used for the E8 ablation, and an exhaustive
-// enumerator used as a test oracle on small graphs.
+// (1978)].  SHIFTS runs the dense Karp or Howard kernels below on each
+// complete finiteness component.  Graph Karp, a binary-search
+// (Lawler-style) alternative and an exhaustive enumerator stay as the
+// reference oracles for tests and the E8 ablation.
 #pragma once
 
 #include <optional>
@@ -33,45 +34,6 @@ std::optional<double> min_cycle_mean_karp(const Digraph& g);
 std::optional<double> max_cycle_mean_bsearch(const Digraph& g,
                                              double tolerance = 1e-9);
 
-/// Howard's policy iteration (max-plus spectral algorithm) — the fastest
-/// known cycle-mean algorithm in practice [Dasdan's experimental studies],
-/// exact like Karp.  Second ablation arm of bench E8.  Throws cs::Error if
-/// policy iteration exits on its iteration backstop without converging (an
-/// unconverged mean must never silently reach SHIFTS); use the warm-start
-/// API below to observe the event through metrics instead.
-std::optional<double> max_cycle_mean_howard(const Digraph& g);
-
-/// Sentinel successor for nodes that carry no policy edge (trivial SCCs).
-inline constexpr NodeId kNoPolicyEdge = static_cast<NodeId>(-1);
-
-struct HowardResult {
-  /// Maximum cycle mean; std::nullopt if the graph is acyclic.
-  std::optional<double> mean;
-
-  /// Final policy: chosen successor node per node, kNoPolicyEdge where the
-  /// node has no internal out-edge.  Feed back as `warm_policy` on the next
-  /// epoch — between consecutive epochs the optimal policy rarely moves, so
-  /// the warm-started iteration converges in one or two rounds.
-  std::vector<NodeId> policy;
-
-  /// Policy-iteration rounds, summed over SCCs.
-  std::size_t iterations{0};
-
-  /// False iff some SCC exhausted its iteration backstop; the mean may then
-  /// be below the true maximum.  Reported to `metrics` under
-  /// "cycle_mean.howard_backstop_exits".
-  bool converged{true};
-};
-
-/// Howard's iteration with an optional warm-start policy from a previous,
-/// similar graph (nullptr or size-mismatched entries fall back to the greedy
-/// initial policy per node) and optional instrumentation.  Counters:
-/// "cycle_mean.howard_iterations", "cycle_mean.howard_warm_starts",
-/// "cycle_mean.howard_backstop_exits".
-HowardResult max_cycle_mean_howard_warm(
-    const Digraph& g, const std::vector<NodeId>* warm_policy = nullptr,
-    Metrics* metrics = nullptr);
-
 /// Exhaustive enumeration of simple cycles (test oracle; exponential, keep
 /// node_count small).
 std::optional<double> max_cycle_mean_brute(const Digraph& g);
@@ -85,19 +47,22 @@ class EpochArena;
 // materializing a Digraph per epoch only to tear it apart again inside the
 // cycle-mean routines is pure allocation churn.  These kernels run straight
 // off a row-major k x k weight matrix (diagonal ignored) with all scratch in
-// an EpochArena, and reproduce the graph-based results BIT FOR BIT:
-//   * Karp's walk table is a pure min-fold over fixed candidate sets, so
-//     the edge iteration order the Digraph path used is irrelevant;
-//   * Howard's greedy initialization and two-stage improvement scan
-//     successors in ascending index skipping the diagonal — exactly the
-//     j-ascending edge order compute_shifts built its complete subgraphs in.
+// an EpochArena.  Dense Karp reproduces graph Karp on the complete graph
+// BIT FOR BIT: the walk table is a pure min-fold over fixed candidate sets,
+// so arc iteration order is irrelevant.  Howard is a different algorithm:
+// its mean agrees with Karp's only up to float rounding (last-bit
+// differences are routine), within DESIGN.md's tolerance contract.
 // ---------------------------------------------------------------------------
 
 /// Karp's maximum cycle mean of the complete graph on k >= 2 nodes with
-/// arc weights w[i*k + j] (i != j).  Mirrors
+/// arc weights w[i*k + j] (i != j).  Equals
 /// max_cycle_mean_karp(complete graph) exactly.
 double max_cycle_mean_karp_dense(const double* w, std::size_t k,
                                  EpochArena& arena);
+
+/// Sentinel successor: no warm seed for this node, or (in
+/// ShiftsResult::policy) a processor alone in its component.
+inline constexpr NodeId kNoPolicyEdge = static_cast<NodeId>(-1);
 
 struct HowardDenseResult {
   double mean{0.0};
@@ -105,12 +70,16 @@ struct HowardDenseResult {
   bool converged{true};
 };
 
-/// Howard's policy iteration on the complete graph on k >= 2 nodes with arc
-/// weights w[i*k + j].  `warm` is empty or k entries of seed successors
-/// (kNoPolicyEdge = greedy init for that node); `policy` receives the final
-/// successor per node (k entries).  Mirrors
-/// max_cycle_mean_howard_warm(complete graph) exactly, including the
-/// "cycle_mean.howard_*" counters and iteration series.
+/// Howard's policy iteration (max-plus spectral algorithm, the fastest
+/// known cycle-mean algorithm in practice) on the complete graph on k >= 2
+/// nodes with arc weights w[i*k + j].  `warm` is empty or k entries of seed
+/// successors (kNoPolicyEdge = greedy init for that node) — between
+/// consecutive epochs the optimal policy rarely moves, so a warm start from
+/// the previous epoch converges in one or two rounds.  `policy` receives
+/// the final successor per node (k entries).  `converged` is false iff the
+/// iteration exhausted its backstop (the mean may then be below the true
+/// maximum).  Counters: "cycle_mean.howard_iterations",
+/// "cycle_mean.howard_warm_starts", "cycle_mean.howard_backstop_exits".
 HowardDenseResult max_cycle_mean_howard_dense(const double* w, std::size_t k,
                                               std::span<const NodeId> warm,
                                               std::span<NodeId> policy,

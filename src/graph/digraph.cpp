@@ -33,11 +33,4 @@ void Digraph::build_index() const {
   index_valid_ = true;
 }
 
-Digraph Digraph::reversed() const {
-  Digraph r(node_count());
-  r.edges_.reserve(edges_.size());
-  for (const Edge& e : edges_) r.add_edge(e.to, e.from, e.weight);
-  return r;
-}
-
 }  // namespace cs

@@ -64,10 +64,6 @@ class Digraph {
     if (!index_valid_) build_index();
   }
 
-  /// Graph with every edge reversed (same ids); used by SCC and by
-  /// single-sink distance computations.
-  Digraph reversed() const;
-
  private:
   void build_index() const;
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "graph/csr.hpp"
+#include "graph/dijkstra.hpp"
 #include "graph/johnson.hpp"
 
 namespace cs {

@@ -36,7 +36,7 @@
 //   * "apsp.from_scratch_runs" is NOT ours: global_shift_estimates ticks it
 //     per full closure, so a bench arm that recomputes from scratch each
 //     epoch reports from_scratch_runs == epochs with incremental_hit_rate 0
-//     by design (see BENCH_pipeline.json's from_scratch arms).
+//     by design (see BENCH_csr.json's from_scratch arms).
 //
 // All per-step scratch (delta lists aside) lives in a private EpochArena
 // that is reset and reused each call, so steady-state updates perform no

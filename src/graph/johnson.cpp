@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "graph/arena.hpp"
-#include "graph/csr.hpp"
+#include "graph/dijkstra.hpp"
 
 namespace cs {
 

@@ -29,7 +29,7 @@
 // The control plane (reports, corrections, acks) rides the same socket as
 // the probe plane but is out of band with respect to the analyzed instance:
 // only probe/echo traffic is banked, mirroring how the trace tooling keeps
-// coordinator traffic out of views.
+// control traffic out of views.
 #pragma once
 
 #include <cstdint>

@@ -387,6 +387,12 @@ AutomatonFactory make_sync_agents(const SystemModel* model,
     throw Error("make_sync_agents: leader id out of range");
   if (params.spacing <= Duration{0.0} || params.period <= Duration{0.0})
     throw Error("make_sync_agents: spacing and period must be positive");
+  // Negated so NaN is rejected too: it would fail `grace > 0` at arm time
+  // and silently disable the watchdog.
+  if (!(params.grace >= Duration{0.0}))
+    throw Error(
+        "make_sync_agents: grace must be non-negative (0 disables the "
+        "watchdog)");
   if (params.report_at.sec <=
       params.warmup.sec +
           static_cast<double>(params.rounds) * params.spacing.sec)

@@ -114,7 +114,9 @@ TEST(Synchronizer, TwoNodeBiasAnalyticPrecision) {
 }
 
 TEST(Synchronizer, AlgorithmChoicesAgree) {
-  // Karp/Howard x Johnson/Floyd-Warshall must produce identical outcomes.
+  // Karp/Howard x Johnson/Floyd-Warshall must agree within DESIGN.md's
+  // tolerance contract.  Karp and Howard are different float computations
+  // and routinely differ in the last bits, so the check is 1e-9, not ==.
   Rng topo_rng(55);
   SystemModel model = test::bounded_model(
       make_connected_gnp(8, 0.35, topo_rng), 0.005, 0.03);

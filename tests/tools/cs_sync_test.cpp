@@ -1,6 +1,7 @@
-// End-to-end tests of the cs_sync binary: the CLI must agree bit-for-bit
-// with the in-process library on the same inputs, and its exit codes must
-// follow the documented contract (0 ok, 1 divergence, 2 usage, 3 error).
+// End-to-end tests of the cs_sync binary (and of cs_syncd's error exits):
+// the CLI must agree bit-for-bit with the in-process library on the same
+// inputs, and its exit codes must follow the documented contract (0 ok, 1
+// divergence, 2 usage, 3 error).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,9 @@
 #ifndef CS_SYNC_BIN
 #error "CS_SYNC_BIN must point at the cs_sync executable"
 #endif
+#ifndef CS_SYNCD_BIN
+#error "CS_SYNCD_BIN must point at the cs_syncd executable"
+#endif
 #ifndef CS_TEST_DATA_DIR
 #error "CS_TEST_DATA_DIR must point at tests/data"
 #endif
@@ -29,8 +33,8 @@ struct RunResult {
   std::string output;
 };
 
-RunResult run(const std::string& args) {
-  const std::string cmd = std::string(CS_SYNC_BIN) + " " + args + " 2>&1";
+RunResult run_binary(const std::string& bin, const std::string& args) {
+  const std::string cmd = bin + " " + args + " 2>&1";
   std::FILE* pipe = ::popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << cmd;
   RunResult r;
@@ -41,6 +45,8 @@ RunResult run(const std::string& args) {
   r.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return r;
 }
+
+RunResult run(const std::string& args) { return run_binary(CS_SYNC_BIN, args); }
 
 std::string golden(const std::string& name) {
   return std::string(CS_TEST_DATA_DIR) + "/" + name;
@@ -193,6 +199,17 @@ TEST(CsSyncCli, LiveRecordedTraceReplays) {
 
 TEST(CsSyncCli, LiveRejectsBadTransport) {
   EXPECT_EQ(run("live --transport carrier-pigeon").exit_code, 2);
+}
+
+TEST(CsSyncdCli, NegativeOrNanGraceIsAnError) {
+  // Either would fail the watchdog's `grace > 0` arming test and leave a
+  // leader with a lost report waiting forever.
+  for (const char* grace : {"-1", "nan"}) {
+    const RunResult r =
+        run_binary(CS_SYNCD_BIN, std::string("--n 3 --grace ") + grace);
+    EXPECT_EQ(r.exit_code, 3) << grace << ": " << r.output;
+    EXPECT_NE(r.output.find("grace"), std::string::npos) << r.output;
+  }
 }
 
 }  // namespace
