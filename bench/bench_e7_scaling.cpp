@@ -16,6 +16,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "graph/arena.hpp"
 #include "lab/campaign.hpp"
 #include "lab/stats.hpp"
 #include "support.hpp"
@@ -55,6 +56,23 @@ void BM_KarpMaxCycleMean(benchmark::State& state) {
   state.SetComplexityN(static_cast<benchmark::IterationCount>(n));
 }
 BENCHMARK(BM_KarpMaxCycleMean)->RangeMultiplier(2)->Range(8, 64)
+    ->Unit(benchmark::kMicrosecond)->Complexity(benchmark::oNCubed);
+
+// The kernel SHIFTS actually runs: dense Karp straight off the row-major
+// m̃s block, scratch in a reused arena (the graph oracle above rebuilds a
+// Digraph and nested walk-table vectors per call).
+void BM_KarpDense(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  DistanceMatrix ms = random_ms(n, 42);
+  const double* w = &ms.at(0, 0);
+  EpochArena arena;
+  for (auto _ : state) {
+    arena.reset();
+    benchmark::DoNotOptimize(max_cycle_mean_karp_dense(w, n, arena));
+  }
+  state.SetComplexityN(static_cast<benchmark::IterationCount>(n));
+}
+BENCHMARK(BM_KarpDense)->RangeMultiplier(2)->Range(64, 512)
     ->Unit(benchmark::kMicrosecond)->Complexity(benchmark::oNCubed);
 
 void BM_ShiftsCorrections(benchmark::State& state) {

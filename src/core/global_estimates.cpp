@@ -1,5 +1,7 @@
 #include "core/global_estimates.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
 #include "graph/johnson.hpp"
 
@@ -38,7 +40,7 @@ DistanceMatrix global_shift_estimates(const Digraph& mls_graph,
         "negative m̃ls cycle: the observed execution contradicts the "
         "declared delay assumptions");
   metrics_increment(metrics, "apsp.from_scratch_runs");
-  return *m;
+  return std::move(*m);
 }
 
 }  // namespace cs

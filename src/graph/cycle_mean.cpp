@@ -62,6 +62,32 @@ std::optional<double> karp_min_on_scc(const Digraph& g,
   return best;
 }
 
+/// One column range of the blocked Karp walk table: cur[j] folds the
+/// candidates b_q - w_q[j] of four source rows, q ascending, keeping the
+/// first strict minimum.  `restrict` tells the compiler that cur (a
+/// walk-table row) and the w_q rows (the weight matrix) never alias, so
+/// it vectorizes the j loop.
+inline void fold_four_rows(double* __restrict cur,
+                           const double* __restrict w0,
+                           const double* __restrict w1,
+                           const double* __restrict w2,
+                           const double* __restrict w3, double b0, double b1,
+                           double b2, double b3, std::size_t lo,
+                           std::size_t hi) {
+  for (std::size_t j = lo; j < hi; ++j) {
+    double c = cur[j];
+    double x = b0 - w0[j];
+    c = x < c ? x : c;
+    x = b1 - w1[j];
+    c = x < c ? x : c;
+    x = b2 - w2[j];
+    c = x < c ? x : c;
+    x = b3 - w3[j];
+    c = x < c ? x : c;
+    cur[j] = c;
+  }
+}
+
 bool graph_has_cycle(const Digraph& g) {
   const SccResult scc = strongly_connected_components(g);
   std::vector<std::size_t> sizes(scc.component_count, 0);
@@ -129,15 +155,48 @@ double max_cycle_mean_karp_dense(const double* w, std::size_t k,
   assert(k >= 2);
   // Same walk table as karp_min_on_scc over the NEGATED complete graph
   // (max mean = -min mean of -w), flattened: d[step*k + v] = min weight of
-  // a walk with exactly `step` arcs from node 0 to v.  The DP is a pure
-  // min-fold, so visiting arcs (i, j) in any order reproduces the
-  // edge-list result bit for bit.
+  // a walk with exactly `step` arcs from node 0 to v.
+  //
+  // Register-blocked: each pass takes four source rows i..i+3 and, per
+  // column j, folds their four candidates into one load and one store of
+  // cur[j].  The result is bit-identical to the one-row-at-a-time
+  // edge-list DP because
+  //   * every cur[j] sees the same candidates in the same ascending-i
+  //     order under the same strict `<`, so the first of equal minima
+  //     wins in both;
+  //   * IEEE 754 defines b - w as b + (-w), signed zeros included;
+  //   * an unreached row (b = +inf) is not skipped but cannot win:
+  //     inf - finite = +inf and inf - inf = NaN both fail `x < c`.
+  // The diagonal block splits the j range so w[j*k + j] is never read.
   std::span<double> d = arena.alloc_fill<double>((k + 1) * k, kInf);
   d[0] = 0.0;
+  constexpr std::size_t kRows = 4;
   for (std::size_t step = 1; step <= k; ++step) {
-    const std::span<double> prev = d.subspan((step - 1) * k, k);
-    const std::span<double> cur = d.subspan(step * k, k);
-    for (std::size_t i = 0; i < k; ++i) {
+    const double* prev = d.data() + (step - 1) * k;
+    double* cur = d.data() + step * k;
+    std::size_t i = 0;
+    for (; i + kRows <= k; i += kRows) {
+      const double b[kRows] = {prev[i], prev[i + 1], prev[i + 2],
+                               prev[i + 3]};
+      const double* w0 = w + i * k;
+      const auto fold = [&](std::size_t lo, std::size_t hi) {
+        fold_four_rows(cur, w0, w0 + k, w0 + 2 * k, w0 + 3 * k, b[0], b[1],
+                       b[2], b[3], lo, hi);
+      };
+      fold(0, i);
+      for (std::size_t dj = 0; dj < kRows; ++dj) {
+        const std::size_t j = i + dj;
+        double c = cur[j];
+        for (std::size_t q = 0; q < kRows; ++q) {
+          if (q == dj) continue;
+          const double x = b[q] - w0[q * k + j];
+          c = x < c ? x : c;
+        }
+        cur[j] = c;
+      }
+      fold(i + kRows, k);
+    }
+    for (; i < k; ++i) {
       const double base = prev[i];
       if (base == kInf) continue;
       const double* wi = w + i * k;

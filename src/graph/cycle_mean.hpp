@@ -48,8 +48,13 @@ class EpochArena;
 // cycle-mean routines is pure allocation churn.  These kernels run straight
 // off a row-major k x k weight matrix (diagonal ignored) with all scratch in
 // an EpochArena.  Dense Karp reproduces graph Karp on the complete graph
-// BIT FOR BIT: the walk table is a pure min-fold over fixed candidate sets,
-// so arc iteration order is irrelevant.  Howard is a different algorithm:
+// BIT FOR BIT: its walk table is a min-fold that visits each column's
+// candidates in the same ascending-source order with the same strict `<`.
+// The fold is register-blocked, four source rows per pass, so each
+// walk-table entry is loaded and stored once per four rows and the column
+// loop vectorizes; it needs no scratch beyond the (k+1) x k table.
+// docs/PERF.md §1 gives the bit-identity argument.  Howard is a different
+// algorithm:
 // its mean agrees with Karp's only up to float rounding (last-bit
 // differences are routine), within DESIGN.md's tolerance contract.
 // ---------------------------------------------------------------------------

@@ -3,12 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <utility>
 
 #include "common/error.hpp"
 #include "core/global_estimates.hpp"
 #include "core/local_estimates.hpp"
+#include "core/shifts.hpp"
 #include "core/synchronizer.hpp"
+#include "graph/cycle_mean.hpp"
+#include "lab/topo.hpp"
 #include "support/builders.hpp"
 
 namespace cs {
@@ -164,6 +170,46 @@ TEST(Synchronizer, OneWayTrafficBoundsVsLowerBoundOnly) {
   const SyncOutcome b = synchronize(lower_only, views);
   EXPECT_FALSE(b.bounded());
   EXPECT_EQ(b.components.component_count, 2u);
+}
+
+TEST(Shifts, FabricKarpBitEqualToGraphOracle) {
+  // The dense Karp kernel SHIFTS runs, on the m̃s matrix of a real
+  // 302-agent datacenter fabric (dc 2 12 24, the repository benchmark's
+  // shape): Ã^max must carry the very bits of the Digraph Karp oracle on
+  // the same complete graph, and the corrections must not depend on the
+  // thread count.
+  SystemModel model =
+      test::bounded_model(lab::make_datacenter(2, 12, 24), 0.002, 0.008);
+  const SimResult sim = test::run_ping_pong(model, 1, 0.2);
+  const DistanceMatrix ms = global_shift_estimates(
+      local_shift_estimates(model, sim.execution.views()));
+  const std::size_t n = ms.size();
+  ASSERT_EQ(n, 302u);
+
+  Digraph complete(n);
+  for (NodeId p = 0; p < n; ++p)
+    for (NodeId q = 0; q < n; ++q)
+      if (p != q) complete.add_edge(p, q, ms.at(p, q));
+  const auto oracle = max_cycle_mean_karp(complete);
+  ASSERT_TRUE(oracle.has_value());
+
+  ShiftsOptions serial;
+  serial.algorithm = CycleMeanAlgorithm::kKarp;
+  const ShiftsResult one = compute_shifts(ms, serial);
+  ASSERT_TRUE(one.bounded());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(one.a_max.finite()),
+            std::bit_cast<std::uint64_t>(*oracle));
+
+  ShiftsOptions par = serial;
+  par.threads = 4;
+  const ShiftsResult four = compute_shifts(ms, par);
+  ASSERT_TRUE(four.bounded());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(four.a_max.finite()),
+            std::bit_cast<std::uint64_t>(*oracle));
+  ASSERT_EQ(one.corrections.size(), four.corrections.size());
+  EXPECT_EQ(std::memcmp(one.corrections.data(), four.corrections.data(),
+                        n * sizeof(double)),
+            0);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -88,10 +90,14 @@ class CycleMeanRandom : public ::testing::TestWithParam<std::uint64_t> {};
 /// row-major matrix the dense kernels take (diagonal unused).
 struct CompleteGraph {
   CompleteGraph(Rng& rng, std::size_t k, double lo, double hi)
-      : k(k), w(k * k, 0.0) {
+      : CompleteGraph(k, [&] { return rng.uniform(lo, hi); }) {}
+
+  /// Off-diagonal weights from draw(), row by row.
+  template <class Draw>
+  CompleteGraph(std::size_t k, Draw draw) : k(k), w(k * k, 0.0) {
     for (std::size_t p = 0; p < k; ++p)
       for (std::size_t q = 0; q < k; ++q)
-        if (p != q) w[p * k + q] = rng.uniform(lo, hi);
+        if (p != q) w[p * k + q] = draw();
   }
 
   /// The same weights as a Digraph, arcs inserted row by row.
@@ -184,18 +190,43 @@ TEST_P(CycleMeanRandom, HowardMatchesKarpOnDenseGraphs) {
   }
 }
 
+/// The dense kernel against the Digraph oracle, compared as bit patterns:
+/// EXPECT_EQ on doubles would let +0.0 and -0.0 pass as equal.
+void expect_karp_dense_bits(const CompleteGraph& c, EpochArena& arena) {
+  const auto karp = max_cycle_mean_karp(c.graph());
+  ASSERT_TRUE(karp.has_value());
+  arena.reset();
+  const double dense = max_cycle_mean_karp_dense(c.w.data(), c.k, arena);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(*karp),
+            std::bit_cast<std::uint64_t>(dense))
+      << "k = " << c.k << ": graph " << *karp << " vs dense " << dense;
+}
+
 TEST(CycleMean, KarpDenseEqualsGraphKarpBitForBit) {
-  // The walk table is a pure min-fold, so the dense kernel must reproduce
-  // the Digraph kernel exactly on every size SHIFTS can hand it.
+  // The walk table is a min-fold visiting each column's candidates in the
+  // same order as the edge-list DP, so the dense kernel must reproduce the
+  // Digraph kernel exactly on every size SHIFTS can hand it.
   Rng rng(20261017);
   EpochArena arena;
-  for (std::size_t k = 2; k <= 64; ++k) {
-    const CompleteGraph c(rng, k, -1.0, 1.0);
-    const auto karp = max_cycle_mean_karp(c.graph());
-    ASSERT_TRUE(karp.has_value());
-    arena.reset();
-    EXPECT_EQ(*karp, max_cycle_mean_karp_dense(c.w.data(), k, arena))
-        << "k = " << k;
+  for (std::size_t k = 2; k <= 64; ++k)
+    expect_karp_dense_bits(CompleteGraph(rng, k, -1.0, 1.0), arena);
+  // Sizes around the kernel's four-row blocking: every residue mod 4, a
+  // block boundary crossed by one, two and three rows, and the 302-agent
+  // fabric of the repository benchmark.
+  for (const std::size_t k : {2, 3, 5, 65, 66, 67, 130, 131, 302}) {
+    expect_karp_dense_bits(CompleteGraph(rng, k, -1.0, 1.0), arena);
+    // Small integers: many walks tie exactly.
+    expect_karp_dense_bits(
+        CompleteGraph(k,
+                      [&] { return static_cast<double>(rng.uniform_int(5)) -
+                                   2.0; }),
+        arena);
+    // Zeros of both signs: every cycle mean is zero, and its sign (Karp
+    // returns the negated minimum, -0.0) only a bit-pattern comparison
+    // checks.
+    expect_karp_dense_bits(
+        CompleteGraph(k, [&] { return rng.uniform_int(2) ? 0.0 : -0.0; }),
+        arena);
   }
 }
 
