@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "graph/dijkstra.hpp"
 #include "graph/johnson.hpp"
@@ -74,7 +75,7 @@ bool IncrementalApsp::update(const Digraph& g) {
     return ok;
   }
 
-  const EdgeMap next = condense(g);
+  EdgeMap next = condense(g);
 
   // Delta vs the accepted graph.  A vanished edge is an increase to +inf;
   // a fresh edge is a decrease from +inf.
@@ -209,14 +210,23 @@ bool IncrementalApsp::update(const Digraph& g) {
       metrics_increment(metrics_, "apsp.negative_cycles");
       return false;
     }
+    // Row d.to is skipped: past the check above, via = D(to,from) + w' >= 0
+    // there, and a non-negative via can never strictly lower D(to,j), so
+    // the row that supplies every tail is never written while it is read.
+    // A +inf tail needs no branch: via + inf = +inf never wins the strict
+    // `<`.  The branch-free select keeps that strict `<` (ties keep the old
+    // entry, exactly like the conditional store it replaces) and compiles
+    // to addpd/minpd.
+    const double* __restrict tail_row = &dist_.at(d.to, 0);
     for (std::size_t i = 0; i < n_; ++i) {
+      if (i == d.to) continue;
       const double head = dist_.at(i, d.from);
       if (head == kInfDist) continue;
       const double via = head + d.new_w;
+      double* __restrict row = &dist_.at(i, 0);
       for (std::size_t j = 0; j < n_; ++j) {
-        const double tail = dist_.at(d.to, j);
-        if (tail == kInfDist) continue;
-        if (via + tail < dist_.at(i, j)) dist_.at(i, j) = via + tail;
+        const double c = via + tail_row[j];
+        row[j] = c < row[j] ? c : row[j];
       }
     }
   }
@@ -230,7 +240,7 @@ bool IncrementalApsp::update(const Digraph& g) {
       return false;
     }
 
-  weights_ = next;
+  weights_ = std::move(next);
   refresh_potentials();
   last_step_.path = StepStats::Path::kIncremental;
   last_step_.incremental = true;

@@ -12,16 +12,21 @@
 // affected part only):
 //
 //   * weight *decreases* (and new edges) are exact rank-one min-plus
-//     updates: D(i,j) <- min(D(i,j), D(i,u) + w' + D(v,j)), O(n^2) per
-//     changed edge — no path that uses the cheaper edge more than once can
-//     win while the graph has no negative cycle;
+//     updates: D(i,j) <- min(D(i,j), D(i,u) + w' + D(v,j)), one vectorised
+//     O(n^2) pass per changed edge — no path that uses the cheaper edge more
+//     than once can win while the graph has no negative cycle;
 //   * weight *increases* (and removed edges, i.e. weight -> +inf) dirty
 //     exactly the rows whose old shortest paths were tight through the
 //     changed edge; only those rows are recomputed, by Dijkstra under the
 //     previous epoch's Johnson potentials (still valid: weights only grew);
 //   * when the dirty fraction exceeds a threshold — or the node set changed
-//     — it falls back to a full Johnson rebuild, so the worst case never
-//     loses to from-scratch by more than the diff scan.
+//     — it falls back to a full Johnson rebuild.
+//
+// The fallback bounds the cost of increases only.  Decreases have none: a
+// step pays one O(n^2) pass per decreased edge, so a step with many of them
+// can lose to a cold rebuild.  At n = 256 (the benchmark's resync workload,
+// docs/INCREMENTAL.md has the table) a step with 78 decreases costs about a
+// quarter of a cold Johnson build, one with 615 about 1.4 times one.
 //
 // Counter accounting contract (pinned by the path-audit cases in
 // tests/graph/incremental_apsp_test.cpp):

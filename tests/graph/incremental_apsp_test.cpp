@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <unordered_map>
 
 #include "common/rng.hpp"
 #include "graph/johnson.hpp"
@@ -259,6 +264,148 @@ TEST(IncrementalApspPath, IncreaseWithinThresholdStaysIncremental) {
   ASSERT_TRUE(inc.update(g));
   EXPECT_EQ(inc.last_step().path, Path::kIncremental);
   EXPECT_GT(inc.last_step().dirty_rows, 0u);
+}
+
+/// Oracle for the weight-decrease sweep: Phase B as it was written before
+/// the vectorised rewrite — one scalar pass per decreased edge, row d.to
+/// included, +inf heads and tails skipped by branch, conditional stores.
+/// Decreases are taken in update()'s order: the iteration order of the
+/// condensed edge map, which is rebuilt here exactly as update() builds it
+/// (reserve, then try_emplace in edge order keeping the minimum).  Returns
+/// false where update() must report a negative cycle.
+bool scalar_decrease_oracle(DistanceMatrix& dist, const Digraph& before,
+                            const Digraph& after) {
+  using EdgeMap = std::unordered_map<std::uint64_t, double>;
+  const auto condense = [](const Digraph& g) {
+    EdgeMap m;
+    m.reserve(g.edge_count());
+    for (const Edge& e : g.edges()) {
+      const std::uint64_t key = (std::uint64_t{e.from} << 32) | e.to;
+      auto [it, inserted] = m.try_emplace(key, e.weight);
+      if (!inserted) it->second = std::min(it->second, e.weight);
+    }
+    return m;
+  };
+  const EdgeMap old_w = condense(before);
+  const EdgeMap next = condense(after);
+  const std::size_t n = dist.size();
+  for (const auto& [key, w_new] : next) {
+    const auto it = old_w.find(key);
+    if (it != old_w.end() && !(w_new < it->second)) continue;
+    const auto from = static_cast<std::size_t>(key >> 32);
+    const auto to = static_cast<std::size_t>(key & 0xffffffffu);
+    const double back = dist.at(to, from);
+    if (back != kInfDist && w_new + back < 0.0) return false;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double head = dist.at(i, from);
+      if (head == kInfDist) continue;
+      const double via = head + w_new;
+      for (std::size_t j = 0; j < n; ++j) {
+        const double tail = dist.at(to, j);
+        if (tail == kInfDist) continue;
+        if (via + tail < dist.at(i, j)) dist.at(i, j) = via + tail;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i)
+    if (dist.at(i, i) < 0.0) return false;
+  return true;
+}
+
+/// The vectorised decrease sweep is bit-identical to the scalar loop it
+/// replaced, entry by entry (std::bit_cast, so ±0.0 and every last bit
+/// count), on graphs with unreachable pairs, negative and ±0.0 weights,
+/// odd and even n, hundreds of decreases (new edges included) per step,
+/// and steps that close a negative cycle.
+TEST(IncrementalApsp, DecreaseSweepBitEqualToScalarOracle) {
+  std::size_t compared_steps = 0, negative_cycle_steps = 0;
+  std::size_t max_decreases = 0;
+  for (std::uint64_t seed = 0; seed < 36; ++seed) {
+    Rng rng(0xdec0 + seed);
+    static constexpr std::size_t kSizes[] = {1, 2, 3, 7, 16, 33, 64, 97};
+    const std::size_t n = kSizes[seed % std::size(kSizes)];
+    // Even seeds: small-integer weights, so many candidate paths tie exactly
+    // and the strict `<` decides; odd seeds: arbitrary doubles.
+    const bool ties = seed % 2 == 0;
+    const auto draw = [&](double lo, double hi) {
+      return ties ? std::floor(rng.uniform(lo, hi)) : rng.uniform(lo, hi);
+    };
+    // Feasible potentials keep every cycle non-negative while single edges
+    // go negative: w(a,b) = slack + p(b) - p(a) with slack >= 0.
+    std::vector<double> p(n);
+    for (double& x : p) x = draw(-3.0, 3.0);
+    // The last node receives no edge from the others and node 0 sends none
+    // (for n > 2): +inf columns and rows survive every step.
+    const auto allowed = [&](std::size_t a, std::size_t b) {
+      return n <= 2 || (a != 0 && b != n - 1);
+    };
+    const auto weight = [&](std::size_t a, std::size_t b, double slack) {
+      const double w = slack + p[b] - p[a];
+      return (w == 0.0 && rng.uniform_int(2) == 0) ? -0.0 : w;
+    };
+    Digraph g(n);
+    for (std::size_t e = 0; e < 3 * n; ++e) {
+      const std::size_t a = rng.uniform_int(n), b = rng.uniform_int(n);
+      if (allowed(a, b))
+        g.add_edge(static_cast<NodeId>(a), static_cast<NodeId>(b),
+                   weight(a, b, draw(0.0, 4.0)));
+    }
+    IncrementalApsp inc(IncrementalApspOptions{/*max_dirty_fraction=*/1.0});
+    ASSERT_TRUE(inc.update(g));
+
+    for (int step = 0; step < 4; ++step) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " n " << n
+                                      << " step " << step);
+      Digraph next = g;
+      // Tighten most edges (never loosen: decreases only, so Phase A stays
+      // idle and the oracle sees exactly update()'s starting matrix) ...
+      for (EdgeId e = 0; e < next.edge_count(); ++e)
+        if (rng.uniform_int(4) != 0) {
+          const Edge& edge = next.edge(e);
+          const double tighter = edge.weight - draw(0.0, 2.0) - 0.5;
+          next.set_weight(e, std::max(tighter, p[edge.to] - p[edge.from]));
+        }
+      // ... add fresh edges (decreases from +inf), parallel ones included ...
+      for (std::size_t e = 0; e < 2 * n; ++e) {
+        const std::size_t a = rng.uniform_int(n), b = rng.uniform_int(n);
+        if (allowed(a, b))
+          next.add_edge(static_cast<NodeId>(a), static_cast<NodeId>(b),
+                        weight(a, b, draw(0.0, 2.0)));
+      }
+      // ... and on the last step of every third seed, one edge far below
+      // its potential bound, which closes a negative cycle if it lies on
+      // any cycle at all.
+      if (step == 3 && seed % 3 == 0 && next.edge_count() > 0) {
+        const auto e =
+            static_cast<EdgeId>(rng.uniform_int(next.edge_count()));
+        const Edge& edge = next.edge(e);
+        next.set_weight(e, p[edge.to] - p[edge.from] - 5.0);
+      }
+
+      DistanceMatrix oracle = inc.distances();
+      const bool want = scalar_decrease_oracle(oracle, g, next);
+      const bool got = inc.update(next);
+      ASSERT_EQ(got, want);
+      EXPECT_EQ(inc.last_step().increased_edges, 0u);
+      max_decreases = std::max(max_decreases, inc.last_step().decreased_edges);
+      if (!got) {
+        ++negative_cycle_steps;
+        break;
+      }
+      ASSERT_TRUE(inc.last_step().incremental);
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(inc.distances().at(i, j)),
+                    std::bit_cast<std::uint64_t>(oracle.at(i, j)))
+              << "(" << i << "," << j << ") " << inc.distances().at(i, j)
+              << " vs " << oracle.at(i, j);
+      ++compared_steps;
+      g = std::move(next);
+    }
+  }
+  EXPECT_GT(compared_steps, 100u);
+  EXPECT_GT(negative_cycle_steps, 3u);
+  EXPECT_GT(max_decreases, 300u);
 }
 
 /// Randomized equivalence sweep: random sparse digraphs under random
