@@ -20,8 +20,8 @@
 
 #include <chrono>
 
-#include "drift/harness.hpp"
 #include "drift/scheduler.hpp"
+#include "lab/trial.hpp"
 #include "support.hpp"
 
 namespace {
@@ -29,6 +29,8 @@ namespace {
 using namespace cs;
 using namespace cs::bench;
 using namespace cs::drift;
+using cs::lab::TrialConfig;
+using cs::lab::TrialResult;
 using SteadyClock = std::chrono::steady_clock;
 
 constexpr double kLb = 0.001;
@@ -98,7 +100,7 @@ int run(bool quick, const std::string& json_path) {
                     << ": guard rho*W exceeds the sampling margin\n";
           continue;
         }
-        DriftTrialConfig config;
+        TrialConfig config;
         config.oscillator.kind = osc.model == "walk"
                                      ? OscillatorSpec::Kind::kRandomWalk
                                      : OscillatorSpec::Kind::kConstant;
@@ -108,7 +110,7 @@ int run(bool quick, const std::string& json_path) {
           config.oscillator.interval = horizon / 32.0;
           config.oscillator.horizon = horizon;
         }
-        config.resync = interval;
+        config.interval = interval;
         config.horizon = horizon;
         config.skew = 0.25;
         config.sample_lo = kLb + 0.375 * (kUb - kLb);
@@ -119,9 +121,15 @@ int run(bool quick, const std::string& json_path) {
         config.start_offsets = random_start_offsets(n, config.skew, rng);
 
         const auto t0 = SteadyClock::now();
-        const DriftTrialResult r = run_drift_trial(model, config);
+        const TrialResult r = lab::run_trial(model, config);
         const double trial_seconds = seconds_since(t0);
         if (!r.ok) throw Error("E17 " + t.name + ": " + r.failure);
+        // A detected epoch (negative m̃ls cycle) means the guard went
+        // physically inconsistent — a failure, never a skipped epoch.
+        if (r.detected_epochs > 0)
+          throw Error("E17 " + t.name + " " + osc.model + ": " +
+                      std::to_string(r.detected_epochs) +
+                      " epoch(s) detected as inconsistent");
 
         // Soundness is part of the benchmark: every re-sync arm must hold
         // its drift-adjusted bound; the no-re-sync arms are the

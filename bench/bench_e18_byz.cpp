@@ -24,7 +24,7 @@
 
 #include <chrono>
 
-#include "byz/harness.hpp"
+#include "lab/trial.hpp"
 #include "support.hpp"
 
 namespace {
@@ -32,6 +32,9 @@ namespace {
 using namespace cs;
 using namespace cs::bench;
 using namespace cs::byz;
+using cs::lab::TrialConfig;
+using cs::lab::TrialEpochRow;
+using cs::lab::TrialResult;
 using SteadyClock = std::chrono::steady_clock;
 
 constexpr double kLb = 0.001;
@@ -64,8 +67,8 @@ std::vector<Duration> offsets(std::size_t n, double skew,
   return out;
 }
 
-ByzTrialConfig base_config(const TopoArm& t, std::size_t n) {
-  ByzTrialConfig config;
+TrialConfig base_config(const TopoArm& t, std::size_t n) {
+  TrialConfig config;
   config.horizon = 32.0;
   config.interval = 8.0;
   config.skew = 0.25;
@@ -120,8 +123,8 @@ int run(bool quick, const std::string& json_path) {
     const std::size_t n = model.processor_count();
     for (const std::size_t f : liar_counts) {
       for (const EstArm& est : estimators) {
-        ByzTrialConfig config = base_config(t, n);
-        config.robust = est.robust;
+        TrialConfig config = base_config(t, n);
+        config.epoch.sync.robust = est.robust;
         config.plan.behavior =
             f == 0 ? Behavior::kHonest : Behavior::kEquivocate;
         config.plan.f = f;
@@ -129,7 +132,7 @@ int run(bool quick, const std::string& json_path) {
         config.plan.seed = 0xB12A;
 
         const auto t0 = SteadyClock::now();
-        const ByzTrialResult r = run_byz_trial(model, config);
+        const TrialResult r = lab::run_trial(model, config);
         const double trial_seconds = seconds_since(t0);
         if (!r.ok) throw Error("E18 " + t.name + ": " + r.failure);
 
@@ -157,8 +160,8 @@ int run(bool quick, const std::string& json_path) {
             .field("detected_epochs", r.detected_epochs)
             .field("violations", r.violations)
             .field("sound", r.sound ? "true" : "false")
-            .field("claimed_honest_max", r.claimed_honest_max)
-            .field("realized_honest_max", r.realized_honest_max)
+            .field("claimed_honest_max", r.claimed_max)
+            .field("realized_honest_max", r.realized_max)
             .field("thm46_gap", r.thm46_gap)
             .field("lied_stamps", r.lied_stamps)
             .field("quorum_dropped_max", r.quorum_dropped_max)
@@ -169,8 +172,8 @@ int run(bool quick, const std::string& json_path) {
                        std::to_string(r.epochs),
                        std::to_string(r.detected_epochs),
                        std::to_string(r.violations),
-                       Table::num(r.claimed_honest_max, 6),
-                       Table::num(r.realized_honest_max, 6),
+                       Table::num(r.claimed_max, 6),
+                       Table::num(r.realized_max, 6),
                        std::to_string(r.quorum_dropped_max),
                        r.sound ? "yes" : "NO"});
       }
@@ -197,7 +200,7 @@ int run(bool quick, const std::string& json_path) {
         quick ? std::vector<std::string>{"naive"}
               : std::vector<std::string>{"naive", "quorum", "carry+churn"};
     for (const std::string& arm : arms) {
-      ByzTrialConfig config = base_config(t, n);
+      TrialConfig config = base_config(t, n);
       config.horizon = 48.0;
       config.plan.behavior = Behavior::kEquivocate;
       config.plan.f = 1;
@@ -205,8 +208,8 @@ int run(bool quick, const std::string& json_path) {
       config.plan.seed = 0xB12A;
       config.plan.until = 16.0;
       if (arm == "quorum") {
-        config.robust.quorum = 3;
-        config.robust.quorum_tolerance = 0.002;
+        config.epoch.sync.robust.quorum = 3;
+        config.epoch.sync.robust.quorum_tolerance = 0.002;
       }
       std::size_t carried_max = 0;
       if (arm == "carry+churn") {
@@ -215,22 +218,22 @@ int run(bool quick, const std::string& json_path) {
         // stretches (> the 8 s window): remembered m̃ls edges outlive
         // their window (possibly poisoned), recovery must stretch but stay
         // finite — carried edges age out at max_carry_epochs.
-        config.staleness.carry_forward = true;
-        config.staleness.widen_per_epoch = 0.002;
-        config.staleness.max_carry_epochs = 2;
+        config.epoch.staleness.carry_forward = true;
+        config.epoch.staleness.widen_per_epoch = 0.002;
+        config.epoch.staleness.max_carry_epochs = 2;
         config.churn.period = 16.0;
         config.churn.duty = 0.25;
         config.churn.links = 4;
       }
 
-      const ByzTrialResult r = run_byz_trial(model, config);
+      const TrialResult r = lab::run_trial(model, config);
       if (!r.ok) throw Error("E18 recovery " + arm + ": " + r.failure);
       if (!r.recovery_measured)
         throw Error("E18 recovery " + arm + ": attack window did not close");
       if (!r.recovered)
         throw Error("E18 recovery " + arm +
                     ": estimator never shed the poisoned state");
-      for (const ByzEpochRow& row : r.rows)
+      for (const TrialEpochRow& row : r.rows)
         carried_max = std::max(carried_max, row.carried_edges);
       if (arm == "carry+churn" && carried_max == 0)
         throw Error("E18 recovery carry+churn: churn never forced a "
@@ -249,7 +252,7 @@ int run(bool quick, const std::string& json_path) {
           .field("carried_edges_max", carried_max);
 
       rec_table.add_row(
-          {arm, config.staleness.carry_forward ? "yes" : "no",
+          {arm, config.epoch.staleness.carry_forward ? "yes" : "no",
            std::to_string(r.epochs), std::to_string(r.detected_epochs),
            std::to_string(r.violations), r.recovered ? "yes" : "NO",
            std::to_string(r.recovery_epochs), std::to_string(carried_max)});
@@ -266,22 +269,22 @@ int run(bool quick, const std::string& json_path) {
     const TopoArm& t = topologies.front();
     const SystemModel model = bounded_model(t.topo, kLb, kUb);
     const std::size_t n = model.processor_count();
-    ByzTrialConfig config = base_config(t, n);
+    TrialConfig config = base_config(t, n);
     config.plan.behavior = Behavior::kEquivocate;
     config.plan.f = 1;
     config.plan.magnitude = t.magnitude;
     config.plan.seed = 0xB12A;
-    config.robust.quorum = 3;
-    config.robust.quorum_tolerance = 0.002;
+    config.epoch.sync.robust.quorum = 3;
+    config.epoch.sync.robust.quorum_tolerance = 0.002;
     config.churn.period = 8.0;
     config.churn.duty = 0.5;
     config.churn.links = 4;
 
-    const ByzTrialResult r = run_byz_trial(model, config);
+    const TrialResult r = lab::run_trial(model, config);
     if (!r.ok) throw Error("E18 churn: " + r.failure);
     if (!r.sound) throw Error("E18 churn: silent violation under quorum");
     std::size_t absent_max = 0;
-    for (const ByzEpochRow& row : r.rows)
+    for (const TrialEpochRow& row : r.rows)
       absent_max = std::max(absent_max, row.absent_directions);
     if (absent_max == 0)
       throw Error("E18 churn: no boundary census saw an absent direction");

@@ -24,7 +24,7 @@
 
 #include <cstdio>
 
-#include "byz/harness.hpp"
+#include "lab/trial.hpp"
 
 int main() {
   using namespace cs;
@@ -39,7 +39,7 @@ int main() {
   // One shared trial shape: 3 re-sync epochs over a 32 s horizon, delays
   // sampled from the middle quarter of the declared band so honest epochs
   // carry slack — the regime where a sub-threshold lie is even possible.
-  byz::ByzTrialConfig base;
+  lab::TrialConfig base;
   base.horizon = 32.0;
   base.interval = 8.0;
   base.skew = 0.25;
@@ -56,14 +56,14 @@ int main() {
   base.plan.magnitude = 0.10;
   base.plan.seed = 0xB12A;
 
-  const auto score = [](const char* arm, const byz::ByzTrialResult& r) {
+  const auto score = [](const char* arm, const lab::TrialResult& r) {
     std::printf("\n%s:\n", arm);
     std::printf("  %-8s %-10s %-10s %-10s %-8s\n", "epoch", "verdict",
                 "claimed", "realized", "qdrop");
-    for (const byz::ByzEpochRow& row : r.rows)
+    for (const lab::TrialEpochRow& row : r.rows)
       std::printf("  t=%-6.0f %-10s %-10.4f %-10.4f %-8zu\n", row.boundary,
                   row.detected ? "DETECTED" : (row.sound ? "sound" : "VIOLATED"),
-                  row.claimed_honest, row.realized_honest,
+                  row.claimed, row.realized,
                   row.quorum_dropped);
     std::printf("  epochs %zu, detected %zu, violations %zu, lied stamps "
                 "%zu\n",
@@ -72,8 +72,8 @@ int main() {
 
   // 1. Undefended: the coordinated lies contradict each other across the
   //    chords and every epoch collapses into a detection outage.
-  byz::ByzTrialConfig naive = base;
-  const byz::ByzTrialResult undefended = byz::run_byz_trial(model, naive);
+  lab::TrialConfig naive = base;
+  const lab::TrialResult undefended = lab::run_trial(model, naive);
   if (!undefended.ok) {
     std::printf("naive trial failed: %s\n", undefended.failure.c_str());
     return 1;
@@ -82,10 +82,10 @@ int main() {
 
   // 2. Defended: quorum-validate each m̃ls edge against a majority of
   //    interior-disjoint routes; the equivocators lose the vote.
-  byz::ByzTrialConfig defended = base;
-  defended.robust.quorum = 3;
-  defended.robust.quorum_tolerance = 0.002;
-  const byz::ByzTrialResult quorum = byz::run_byz_trial(model, defended);
+  lab::TrialConfig defended = base;
+  defended.epoch.sync.robust.quorum = 3;
+  defended.epoch.sync.robust.quorum_tolerance = 0.002;
+  const lab::TrialResult quorum = lab::run_trial(model, defended);
   if (!quorum.ok) {
     std::printf("quorum trial failed: %s\n", quorum.failure.c_str());
     return 1;

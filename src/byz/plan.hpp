@@ -41,7 +41,7 @@
 //
 // Magnitude calibration against detection: lies large enough to create a
 // negative m̃ls cycle make GLOBAL ESTIMATES throw InvalidAssumption — the
-// pipeline *detects* the attack (harness outcome "detected").  The harmful
+// pipeline *detects* the attack (trial outcome "detected").  The harmful
 // regime is below that threshold; docs/BYZ.md derives the slack budget.
 #pragma once
 
@@ -72,7 +72,7 @@ Behavior behavior_from_name(const std::string& name);
 
 /// One agent's assignment: a behavior, its amplitude, and the clock-time
 /// window in which it is active (outside the window the agent is honest —
-/// the recovery harness ends attacks this way).
+/// the recovery trials end attacks this way).
 struct AgentPlan {
   ProcessorId pid{0};
   Behavior behavior{Behavior::kHonest};

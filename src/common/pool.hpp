@@ -17,9 +17,8 @@
 //
 // This lived in src/lab (campaign fan-out was its first customer); it moved
 // here so per-epoch pipeline stages in src/core can shard over it without a
-// core -> lab dependency edge.  src/lab/pool.hpp re-exports these names
-// into cs::lab, and the counter names keep their historical "lab.pool."
-// prefix so recorded metrics stay comparable.
+// core -> lab dependency edge.  The counter names keep their historical
+// "lab.pool." prefix so recorded metrics stay comparable.
 #pragma once
 
 #include <cstddef>

@@ -20,18 +20,46 @@ void check_inputs(const SystemModel& model, std::span<const View> views,
       throw Error("epoch boundaries must be strictly increasing");
 }
 
-/// Shared driver: cut the views at each boundary, estimate m̃ls with
-/// coverage reporting, apply the staleness carry, hand the effective graph
-/// to `run_graph` (from-scratch or incremental pipeline tail).
-template <typename RunGraph>
+/// The estimate stage: the epoch's m̃ls graph from its paired traffic.
+Digraph estimate_mls(const SystemModel& model, LinkTraffic& traffic,
+                     ClockTime boundary, const EpochOptions& options,
+                     EpochOutcome& epoch) {
+  const SyncOptions& sync = options.sync;
+  const bool drifting = options.drift_rho > 0.0;
+  if (sync.robust.trim)
+    traffic = trimmed_traffic(traffic, model, sync.robust.trim_gate,
+                              sync.metrics, /*detrend=*/drifting);
+  if (drifting) {
+    drift::DriftWindowOptions win;
+    win.boundary = boundary.sec;
+    win.window = options.window.sec;
+    win.max_slope = 2.0 * options.drift_rho;
+    win.guard = options.drift_rho *
+                (options.window > Duration{0.0} ? options.window.sec
+                                                : boundary.sec);
+    return mls_graph_from_stats(
+        model,
+        drift::drift_adjusted_link_stats(model, traffic, win,
+                                         &epoch.drift_fit));
+  }
+  return mls_graph_from_traffic(model, traffic, sync.threads);
+}
+
+/// The one epoch loop behind both entry points; `solve` is the pipeline
+/// tail (from-scratch or incremental).  Stages: see epochs.hpp.
+template <typename Solve>
 std::vector<EpochOutcome> drive_epochs(const SystemModel& model,
                                        std::span<const View> views,
                                        std::span<const ClockTime> boundaries,
                                        const EpochOptions& options,
-                                       RunGraph&& run_graph) {
+                                       Solve&& solve) {
   check_inputs(model, views, boundaries);
   Metrics* metrics = options.sync.metrics;
   MlsCarry carry(options.staleness, metrics);
+  // The detrending estimator windows by receive stamp itself, so its cut
+  // is always the prefix.
+  const bool cut_window =
+      options.window > Duration{0.0} && !(options.drift_rho > 0.0);
 
   std::vector<EpochOutcome> out;
   out.reserve(boundaries.size());
@@ -39,7 +67,7 @@ std::vector<EpochOutcome> drive_epochs(const SystemModel& model,
   for (const ClockTime boundary : boundaries) {
     auto timer = Metrics::scoped(metrics, "stage.epoch_seconds");
     for (std::size_t p = 0; p < views.size(); ++p)
-      cuts[p] = options.window > Duration{0.0}
+      cuts[p] = cut_window
                     ? views[p].window(boundary - options.window, boundary)
                     : views[p].prefix(boundary);
 
@@ -52,10 +80,10 @@ std::vector<EpochOutcome> drive_epochs(const SystemModel& model,
           Metrics::scoped(metrics, "stage.local_estimates_seconds");
       // Epoch cuts are taken at clock boundaries, so orphan receives are
       // normal; under fault injection so are duplicate re-deliveries.
-      const LinkTraffic traffic = LinkTraffic::estimated_from_views(
+      LinkTraffic traffic = LinkTraffic::estimated_from_views(
           cuts, MatchPolicy::kDropOrphans, &epoch.pairing);
       epoch.coverage = link_coverage(model, traffic);
-      mls = mls_graph_from_traffic(model, traffic);
+      mls = estimate_mls(model, traffic, boundary, options, epoch);
     }
     metrics_increment(metrics, "degraded.orphan_receives",
                       epoch.pairing.orphan_receives);
@@ -67,8 +95,20 @@ std::vector<EpochOutcome> drive_epochs(const SystemModel& model,
 
     Digraph effective = carry.apply(mls);
     epoch.carried_edges = carry.last_carried();
+    if (options.sync.robust.quorum > 0) {
+      const std::size_t before = effective.edge_count();
+      effective = quorum_validated_mls(effective, options.sync.robust, metrics);
+      epoch.quorum_dropped = before - effective.edge_count();
+    }
 
-    epoch.sync = run_graph(std::move(effective));
+    try {
+      epoch.sync = solve(std::move(effective));
+    } catch (const InvalidAssumption&) {
+      epoch.detected = true;
+      epoch.sync = SyncOutcome{};
+      epoch.sync.optimal_precision = ExtReal::infinity();
+      metrics_increment(metrics, "pipeline.detected_epochs");
+    }
     out.push_back(std::move(epoch));
     metrics_increment(metrics, "pipeline.epochs");
   }
@@ -102,23 +142,6 @@ std::vector<EpochOutcome> epochal_synchronize_incremental(
                       [&](Digraph mls) {
                         return sync.step_mls(std::move(mls));
                       });
-}
-
-std::vector<EpochOutcome> epochal_synchronize(
-    const SystemModel& model, std::span<const View> views,
-    std::span<const ClockTime> boundaries, const SyncOptions& options) {
-  EpochOptions epoch_options;
-  epoch_options.sync = options;
-  return epochal_synchronize(model, views, boundaries, epoch_options);
-}
-
-std::vector<EpochOutcome> epochal_synchronize_incremental(
-    const SystemModel& model, std::span<const View> views,
-    std::span<const ClockTime> boundaries, const SyncOptions& options) {
-  EpochOptions epoch_options;
-  epoch_options.sync = options;
-  return epochal_synchronize_incremental(model, views, boundaries,
-                                         epoch_options);
 }
 
 }  // namespace cs

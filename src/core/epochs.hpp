@@ -23,6 +23,25 @@
 // the instance partitioned do not fail: they degrade to per-finiteness-
 // component corrections and precision (shifts.hpp), reported in the
 // outcome.
+//
+// Every epoch runs the same fixed stages:
+//
+//   cut      each view's prefix (or window) before the boundary
+//   pair     sends with receives, orphans and duplicates dropped
+//   estimate the m̃ls graph, by the estimator the options select:
+//              plain extreme folds; MAD-trimmed folds (sync.robust.trim);
+//              or, for drifting clocks (drift_rho > 0), the detrending
+//              rate estimator (delaymodel/rate_estimator.hpp), after a
+//              trim that gates the residuals from each direction's line
+//   carry    staleness carry-forward of unobserved edges
+//   validate quorum validation of edge pairs (sync.robust.quorum)
+//   solve    GLOBAL ESTIMATES + SHIFTS: dense, incremental, or zoned
+//            (sync.zones)
+//
+// An epoch whose m̃ls graph has a negative cycle — the traffic contradicts
+// the declared delay assumptions: the bounds are wrong or an agent lies —
+// does not abort the run.  It is recorded as `detected` and publishes
+// nothing, as the live SyncAgent does, and the next epoch starts clean.
 #pragma once
 
 #include <span>
@@ -30,6 +49,7 @@
 #include "core/degraded.hpp"
 #include "core/incremental.hpp"
 #include "core/synchronizer.hpp"
+#include "delaymodel/rate_estimator.hpp"
 
 namespace cs {
 
@@ -48,6 +68,16 @@ struct EpochOutcome {
   /// m̃ls edges reused from earlier epochs by the staleness carry
   /// (0 unless EpochOptions::staleness.carry_forward).
   std::size_t carried_edges{0};
+
+  /// m̃ls edges quorum validation removed (0 unless sync.robust.quorum).
+  std::size_t quorum_dropped{0};
+
+  /// Detrending diagnostics (all zero unless EpochOptions::drift_rho > 0).
+  drift::DriftFitSummary drift_fit;
+
+  /// The m̃ls graph had a negative cycle.  `sync` then carries no
+  /// corrections and a precision of +inf.
+  bool detected{false};
 };
 
 /// Epoch-driver configuration: the per-epoch pipeline options plus the
@@ -63,6 +93,14 @@ struct EpochOptions {
   /// boundary_k) — the bounded-memory / drift-aware mode in which links
   /// can genuinely lose all observations and staleness carry matters.
   Duration window{0.0};
+
+  /// Declared oscillator band ρ of the clocks (|rate − 1| <= ρ).  Zero:
+  /// drift-free clocks.  Positive: epochs use the detrending estimator,
+  /// slopes clamped to 2ρ and estimates widened by ρ·W, re-anchored at the
+  /// boundary.  It keeps its own window rule: each epoch pairs the whole
+  /// prefix, then fits the observations received in [T - window, T) —
+  /// all of them when window is 0, which makes W the boundary itself.
+  double drift_rho{0.0};
 };
 
 /// Run the pipeline on the cut of every view at each boundary, in order.
@@ -71,7 +109,7 @@ struct EpochOptions {
 /// any traffic-less instance.
 std::vector<EpochOutcome> epochal_synchronize(
     const SystemModel& model, std::span<const View> views,
-    std::span<const ClockTime> boundaries, const EpochOptions& options);
+    std::span<const ClockTime> boundaries, const EpochOptions& options = {});
 
 /// Same contract and (to float tolerance) same results as
 /// epochal_synchronize, but epoch k+1 reuses epoch k's APSP closure via a
@@ -83,15 +121,6 @@ std::vector<EpochOutcome> epochal_synchronize(
 /// incremental-vs-rebuild hit counters.
 std::vector<EpochOutcome> epochal_synchronize_incremental(
     const SystemModel& model, std::span<const View> views,
-    std::span<const ClockTime> boundaries, const EpochOptions& options);
-
-/// Convenience overloads preserving the historical SyncOptions signature
-/// (cumulative prefixes, no carry-forward).
-std::vector<EpochOutcome> epochal_synchronize(
-    const SystemModel& model, std::span<const View> views,
-    std::span<const ClockTime> boundaries, const SyncOptions& options = {});
-std::vector<EpochOutcome> epochal_synchronize_incremental(
-    const SystemModel& model, std::span<const View> views,
-    std::span<const ClockTime> boundaries, const SyncOptions& options = {});
+    std::span<const ClockTime> boundaries, const EpochOptions& options = {});
 
 }  // namespace cs

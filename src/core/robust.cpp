@@ -6,6 +6,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "delaymodel/rate_estimator.hpp"
+
 namespace cs {
 namespace {
 
@@ -21,27 +23,32 @@ double median_of(std::vector<double> v) {
 
 /// One direction's MAD-gated copy appended to `out`.
 void trim_direction(ProcessorId p, ProcessorId q,
-                    std::span<const TimedObs> obs, double gate,
+                    std::span<const TimedObs> obs, double gate, bool detrend,
                     LinkTraffic& out, std::size_t& dropped) {
   if (obs.size() < 3 || gate <= 0.0) {
     for (const TimedObs& o : obs) out.add(p, q, o);
     return;
   }
-  std::vector<double> delays;
-  delays.reserve(obs.size());
-  for (const TimedObs& o : obs) delays.push_back(o.delay);
-  const double med = median_of(delays);
+  // The gated values: d̃, or its residual from the direction's line (a
+  // default RateFit predicts 0).
+  const drift::RateFit fit =
+      detrend ? drift::fit_rate(obs) : drift::RateFit{};
+  std::vector<double> values;
+  values.reserve(obs.size());
+  for (const TimedObs& o : obs)
+    values.push_back(o.delay - fit.predict(o.send));
+  const double med = median_of(values);
   std::vector<double> dev;
-  dev.reserve(delays.size());
-  for (double d : delays) dev.push_back(std::abs(d - med));
+  dev.reserve(values.size());
+  for (double v : values) dev.push_back(std::abs(v - med));
   const double mad = median_of(std::move(dev));
   if (mad == 0.0) {  // degenerate spread: no gate, keep everything
     for (const TimedObs& o : obs) out.add(p, q, o);
     return;
   }
-  for (const TimedObs& o : obs) {
-    if (std::abs(o.delay - med) <= gate * mad) {
-      out.add(p, q, o);
+  for (std::size_t i = 0; i < obs.size(); ++i) {
+    if (std::abs(values[i] - med) <= gate * mad) {
+      out.add(p, q, obs[i]);
     } else {
       ++dropped;
     }
@@ -52,12 +59,14 @@ void trim_direction(ProcessorId p, ProcessorId q,
 
 LinkTraffic trimmed_traffic(const LinkTraffic& traffic,
                             const SystemModel& model, double trim_gate,
-                            Metrics* metrics) {
+                            Metrics* metrics, bool detrend) {
   LinkTraffic out;
   std::size_t dropped = 0;
   for (const auto& [a, b] : model.topology().links) {
-    trim_direction(a, b, traffic.direction(a, b), trim_gate, out, dropped);
-    trim_direction(b, a, traffic.direction(b, a), trim_gate, out, dropped);
+    trim_direction(a, b, traffic.direction(a, b), trim_gate, detrend, out,
+                   dropped);
+    trim_direction(b, a, traffic.direction(b, a), trim_gate, detrend, out,
+                   dropped);
   }
   if (dropped != 0)
     metrics_increment(metrics, "robust.trimmed_observations", dropped);

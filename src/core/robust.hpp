@@ -73,10 +73,13 @@ struct RobustOptions {
 };
 
 /// Per-direction MAD-trimmed copy of `traffic` (insertion order kept).
-/// With no outliers the result is an element-for-element copy.
+/// With no outliers the result is an element-for-element copy.  With
+/// `detrend` (drifting clocks) the gate judges each observation's residual
+/// from the direction's least-squares line (delaymodel/rate_estimator.hpp)
+/// instead of its raw d̃, which carries the rate trend.
 LinkTraffic trimmed_traffic(const LinkTraffic& traffic,
                             const SystemModel& model, double trim_gate,
-                            Metrics* metrics = nullptr);
+                            Metrics* metrics = nullptr, bool detrend = false);
 
 /// Quorum-validated copy of the m̃ls graph: edge pairs a majority of
 /// examined disjoint routes contradicts are removed (both directions).

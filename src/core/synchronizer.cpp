@@ -1,5 +1,7 @@
 #include "core/synchronizer.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "core/local_estimates.hpp"
 #include "core/zones.hpp"
@@ -31,6 +33,9 @@ SyncOutcome zoned_as_outcome(ZonedOutcome&& z) {
       out.component_precision.push_back(st.a_max);
   }
   out.mls_graph = std::move(z.mls_graph);
+  out.zone_thm46_gap = z.quotient_thm46_gap;
+  for (const ZoneStats& st : z.zones)
+    out.zone_thm46_gap = std::max(out.zone_thm46_gap, st.thm46_gap);
   return out;
 }
 

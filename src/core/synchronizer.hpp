@@ -46,8 +46,9 @@ struct SyncOptions {
   /// observation folds and/or quorum-validated m̃ls edges, applied between
   /// the traffic build and GLOBAL ESTIMATES.  Inactive (the default) is
   /// bit-identical to the naive path; with f = 0 liars the active variants
-  /// are too (property-tested).  synchronize() applies both; direct
-  /// synchronize_mls() callers apply quorum_validated_mls() themselves.
+  /// are too (property-tested).  synchronize() and the epoch drivers
+  /// (core/epochs.hpp) apply both; direct synchronize_mls() callers apply
+  /// quorum_validated_mls() themselves.
   RobustOptions robust;
 
   /// Zone-hierarchical plan (core/zones.hpp); nullptr = dense pipeline.
@@ -57,7 +58,8 @@ struct SyncOptions {
   /// reports the *composed bound* as optimal_precision (an upper bound on
   /// realized precision, not the dense instance optimum unless the plan has
   /// a single zone), leaves ms_estimates empty (never materialized — that
-  /// is the point), and groups components by zone when unbounded.  Use
+  /// is the point), folds the per-zone and quotient Thm 4.6 residues into
+  /// zone_thm46_gap, and groups components by zone when unbounded.  Use
   /// synchronize_zoned() directly for the full per-zone/quotient breakdown.
   const ZonePlan* zones{nullptr};
 };
@@ -79,6 +81,10 @@ struct SyncOutcome {
   /// Intermediate products, exposed for inspection, evaluation and tests.
   Digraph mls_graph;
   DistanceMatrix ms_estimates;
+
+  /// Zoned solves only (ms_estimates stays empty there): the max Thm 4.6
+  /// equality residue over the zones and the leader quotient.
+  double zone_thm46_gap{0.0};
 
   bool bounded() const { return optimal_precision.is_finite(); }
 };

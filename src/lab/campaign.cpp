@@ -4,12 +4,11 @@
 #include <chrono>
 #include <cmath>
 
-#include "byz/harness.hpp"
 #include "common/error.hpp"
 #include "core/precision.hpp"
 #include "core/synchronizer.hpp"
 #include "core/zones.hpp"
-#include "drift/harness.hpp"
+#include "lab/trial.hpp"
 #include "proto/beacon.hpp"
 #include "proto/ping_pong.hpp"
 #include "sim/simulator.hpp"
@@ -67,130 +66,117 @@ ZonePlan build_zone_plan(const ZoneAxisSpec& arm, const TopoSpec& topo_spec,
   fail("unknown zones arm kind: '" + arm.kind + "'");
 }
 
-// Maps one drift arm onto the shared trial harness (drift/harness.hpp) and
-// folds its result into the TaskResult schema.  Drift arms are simulated
-// with ping-pong probes on the harness's own epoch-derived schedule (the
+// Runs a drift and/or Byzantine arm through the epoch trial
+// (lab/trial.hpp) and folds its result into the TaskResult schema.  Trial
+// arms probe with ping-pong on the trial's own epoch schedule (the
 // campaign protocol spec does not apply) and require a plain `bounds` mix:
-// the actual delays are drawn from the middle quarter of the declared band
-// so the declared slack absorbs the rate estimator's re-anchoring error
-// (the E9b discipline; docs/DRIFT.md).
-void run_drift_task(const CampaignSpec& spec, const TaskSpec& task,
-                    const SystemModel& model, const DriftAxisSpec& arm,
-                    std::uint64_t seed, Rng& offset_rng, double tolerance,
+// actual delays come from the middle quarter of the declared band, so the
+// declared slack absorbs the rate estimator's re-anchoring error and
+// sub-detection-threshold lies are possible (docs/DRIFT.md, docs/BYZ.md).
+// The fault and zones axes compose: the injectors draw from disjoint
+// derived streams, and the zone plan is the epochs' solve.
+void run_trial_task(const CampaignSpec& spec, const TaskSpec& task,
+                    const SystemModel& model, const Topology& topo,
+                    const FaultPlan* faults, std::uint64_t seed,
+                    Rng& offset_rng, double tolerance,
                     std::size_t task_threads, TaskResult& r) {
   const MixSpec& mix = spec.mixes[task.mix_id];
   if (mix.kind != "bounds")
-    fail("drift arms require a 'bounds' mix (got '" + mix.kind + "')");
+    fail("drift and byz arms require a 'bounds' mix (got '" + mix.kind +
+         "')");
+  const DriftAxisSpec& drift_arm = spec.drift_arm(task.drift_id);
+  const ByzAxisSpec& byz_arm = spec.byz_arm(task.byz_id);
+  const ZoneAxisSpec& zone_arm = spec.zone_arm(task.zone_id);
 
-  drift::DriftTrialConfig config;
-  config.oscillator.kind = arm.kind == "walk"
-                               ? drift::OscillatorSpec::Kind::kRandomWalk
-                               : drift::OscillatorSpec::Kind::kConstant;
-  config.oscillator.ppm = arm.ppm;
-  config.oscillator.step_ppm = arm.step_ppm;
-  config.resync = arm.resync;
-  config.horizon = arm.horizon_or_default();
+  TrialConfig config;
+  config.epoch.sync.threads = task_threads;
+  config.faults = faults;
   config.skew = spec.skew;
   const double width = mix.ub - mix.lb;
   config.sample_lo = mix.lb + 0.375 * width;
   config.sample_hi = mix.lb + 0.625 * width;
   config.sim_seed = derive_task_seed(seed, 2);
-  config.drift_seed = derive_task_seed(seed, 3);
   config.start_offsets =
       random_start_offsets(model.processor_count(), spec.skew, offset_rng);
-  config.sync_threads = task_threads;
   config.tolerance = tolerance;
+  // Three 8 s epochs unless a drift arm sets its own schedule.
+  config.horizon = 32.0;
+  config.interval = 8.0;
 
-  const drift::DriftTrialResult trial = drift::run_drift_trial(model, config);
-  r.drifting = true;
-  r.drift_rho = config.oscillator.rho();
-  r.drift_resync = arm.resync;
-  r.drift_horizon = config.horizon;
-  r.drift_window = trial.window;
-  r.drift_epochs = trial.epochs;
-  r.drift_bound = trial.bound_max;
-  r.drift_slope = trial.max_abs_slope;
-  r.delivered = trial.delivered;
-  r.dropped = trial.dropped;
-  r.events = trial.events;
-  if (!trial.ok) fail(trial.failure);
-  r.bounded = true;  // unbounded epochs surface as trial failures
-  r.claimed = trial.claimed_max;
-  r.guaranteed = trial.guaranteed_max;
-  r.thm46_gap = trial.thm46_gap;
-  r.realized = trial.realized_max;
-  r.sound = trial.sound;
-}
-
-// Maps one Byzantine arm onto the adversarial trial harness
-// (byz/harness.hpp) and folds its result into the TaskResult schema.  Like
-// drift, byz arms run ping-pong probes on the harness's own epoch schedule
-// and require a plain `bounds` mix: delays are drawn from the middle
-// quarter of the declared band so honest epochs carry slack and
-// sub-detection-threshold lies are possible — the regime worth measuring
-// (docs/BYZ.md).  The fault axis *does* compose (the injectors draw from
-// disjoint derived streams); zones and drift do not (yet).
-void run_byz_task(const CampaignSpec& spec, const TaskSpec& task,
-                  const SystemModel& model, const ByzAxisSpec& arm,
-                  std::uint64_t seed, Rng& offset_rng, double tolerance,
-                  std::size_t task_threads, TaskResult& r) {
-  const MixSpec& mix = spec.mixes[task.mix_id];
-  if (mix.kind != "bounds")
-    fail("byz arms require a 'bounds' mix (got '" + mix.kind + "')");
-
-  const FaultSpec& fault_spec = spec.faults[task.fault_id];
-  const FaultPlan fault_plan = fault_spec.build(derive_task_seed(seed, 1));
-
-  byz::ByzTrialConfig config;
-  config.plan.behavior = byz::behavior_from_name(arm.kind);
-  config.plan.f = arm.f;
-  config.plan.magnitude = arm.magnitude;
-  config.plan.seed = derive_task_seed(seed, 4);
-  // "robust" = trimmed folds *and* quorum validation: the MAD gate deletes
-  // the floor-clamp outliers that would otherwise force detection outages,
-  // and the quorum pass catches the silent corruption trimming alone would
-  // let through (the trim-backfire finding; docs/BYZ.md).
-  if (arm.estimator == "trimmed" || arm.estimator == "robust")
-    config.robust.trim = true;
-  if (arm.estimator == "quorum" || arm.estimator == "robust") {
-    config.robust.quorum = 3;
-    config.robust.quorum_tolerance = arm.quorum_tolerance;
+  if (drift_arm.drifting()) {
+    config.oscillator.kind = drift_arm.kind == "walk"
+                                 ? drift::OscillatorSpec::Kind::kRandomWalk
+                                 : drift::OscillatorSpec::Kind::kConstant;
+    config.oscillator.ppm = drift_arm.ppm;
+    config.oscillator.step_ppm = drift_arm.step_ppm;
+    config.interval = drift_arm.resync;
+    config.horizon = drift_arm.horizon_or_default();
+    config.drift_seed = derive_task_seed(seed, 3);
   }
-  if (arm.estimator != "naive" && arm.estimator != "trimmed" &&
-      arm.estimator != "quorum" && arm.estimator != "robust")
-    fail("unknown byz estimator: '" + arm.estimator + "'");
-  if (fault_spec.faulty()) config.faults = &fault_plan;
-  config.skew = spec.skew;
-  const double width = mix.ub - mix.lb;
-  config.sample_lo = mix.lb + 0.375 * width;
-  config.sample_hi = mix.lb + 0.625 * width;
-  config.sim_seed = derive_task_seed(seed, 2);
-  config.start_offsets =
-      random_start_offsets(model.processor_count(), spec.skew, offset_rng);
-  config.sync_threads = task_threads;
-  config.tolerance = tolerance;
+  if (byz_arm.byzantine()) {
+    config.plan.behavior = byz::behavior_from_name(byz_arm.kind);
+    config.plan.f = byz_arm.f;
+    config.plan.magnitude = byz_arm.magnitude;
+    config.plan.seed = derive_task_seed(seed, 4);
+    // "robust" = trimmed folds *and* quorum validation: the MAD gate
+    // deletes the floor-clamp outliers that would otherwise force
+    // detection outages, and the quorum pass catches the silent corruption
+    // trimming alone would let through (the trim-backfire finding;
+    // docs/BYZ.md).
+    const std::string& est = byz_arm.estimator;
+    if (est != "naive" && est != "trimmed" && est != "quorum" &&
+        est != "robust")
+      fail("unknown byz estimator: '" + est + "'");
+    RobustOptions& robust = config.epoch.sync.robust;
+    robust.trim = est == "trimmed" || est == "robust";
+    if (est == "quorum" || est == "robust") {
+      robust.quorum = 3;
+      robust.quorum_tolerance = byz_arm.quorum_tolerance;
+    }
+  }
+  ZonePlan zone_plan;
+  if (zone_arm.zoned()) {
+    zone_plan = build_zone_plan(zone_arm, spec.topologies[task.topology_id],
+                                topo);
+    config.epoch.sync.zones = &zone_plan;
+    r.zoned = true;
+    r.zone_count = zone_plan.count;
+    for (const std::vector<NodeId>& zone : zone_plan.members())
+      r.zone_max_size = std::max(r.zone_max_size, zone.size());
+  }
 
-  const byz::ByzTrialResult trial = byz::run_byz_trial(model, config);
-  r.byzantine = true;
-  r.byz_liars = arm.f;
-  r.byz_epochs = trial.epochs;
+  const TrialResult trial = run_trial(model, config);
+  if (drift_arm.drifting()) {
+    r.drifting = true;
+    r.drift_rho = config.oscillator.rho();
+    r.drift_window = trial.window;
+    r.drift_epochs = trial.epochs;
+    r.drift_bound = trial.bound_max;
+    r.drift_slope = trial.max_abs_slope;
+  }
+  if (byz_arm.byzantine()) {
+    r.byzantine = true;
+    r.byz_epochs = trial.epochs;
+    r.byz_violations = trial.violations;
+    r.byz_lied_stamps = trial.lied_stamps;
+    r.byz_quorum_dropped = trial.quorum_dropped_max;
+  }
+  // A detected epoch is an outage whatever its cause (a liar, or an
+  // estimator guard too thin for the drift): the --check gate fails it.
   r.byz_detected = trial.detected_epochs;
-  r.byz_violations = trial.violations;
-  r.byz_lied_stamps = trial.lied_stamps;
-  r.byz_quorum_dropped = trial.quorum_dropped_max;
   r.delivered = trial.delivered;
   r.dropped = trial.dropped;
   r.events = trial.events;
   if (!trial.ok) fail(trial.failure);
   // Honest-subgraph scoring: `claimed` is the max per-component bound the
-  // pipeline published for components with >= 2 honest members, `realized`
-  // the honest agents' measured spread, `sound` the trial verdict (zero
-  // violated epochs).  Detected epochs are outages, counted separately.
+  // pipeline published for components with >= 2 honest members (every
+  // agent is honest on a drift-only arm), `realized` their measured
+  // spread, `sound` the trial verdict against the drift-adjusted bound.
   r.bounded = true;
-  r.claimed = trial.claimed_honest_max;
-  r.guaranteed = trial.claimed_honest_max;
+  r.claimed = trial.claimed_max;
+  r.guaranteed = trial.claimed_max;
   r.thm46_gap = trial.thm46_gap;
-  r.realized = trial.realized_honest_max;
+  r.realized = trial.realized_max;
   r.sound = trial.sound;
 }
 
@@ -238,34 +224,12 @@ TaskResult run_task(const CampaignSpec& spec, const TaskSpec& task,
   if (fault_spec.faulty()) opts.faults = &plan;
 
   try {
-    const ByzAxisSpec& byz_arm = spec.byz_arm(task.byz_id);
-    if (byz_arm.byzantine()) {
-      // Byzantine arms route through the adversarial harness: epoch-
-      // scheduled probing, corrupted stamps, honest-subgraph scoring.  The
-      // fault axis composes (independent derived RNG streams); zones and
-      // drift do not.
-      if (spec.zone_arm(task.zone_id).zoned())
-        fail("byz arms do not compose with zones yet");
-      if (spec.drift_arm(task.drift_id).drifting())
-        fail("byz arms do not compose with drift yet");
-      run_byz_task(spec, task, model, byz_arm, seed, offset_rng, tolerance,
-                   task_threads, r);
-      r.ok = true;
-      r.seconds = seconds_since(start);
-      return r;
-    }
-
-    const DriftAxisSpec& drift_arm = spec.drift_arm(task.drift_id);
-    if (drift_arm.drifting()) {
-      // Drifting clocks route through the drift harness: its own probe
-      // schedule, windowed detrended estimation per epoch boundary, and
-      // ground-truth evaluation against the drift-adjusted bound.  The
-      // fault and zones axes do not compose with drift (yet).
-      if (fault_spec.faulty())
-        fail("drift arms do not compose with fault plans yet");
-      if (spec.zone_arm(task.zone_id).zoned())
-        fail("drift arms do not compose with zones yet");
-      run_drift_task(spec, task, model, drift_arm, seed, offset_rng,
+    if (spec.drift_arm(task.drift_id).drifting() ||
+        spec.byz_arm(task.byz_id).byzantine()) {
+      // Trial arms draw their start offsets after the draw above, from
+      // the same stream.
+      run_trial_task(spec, task, model, topo,
+                     fault_spec.faulty() ? &plan : nullptr, seed, offset_rng,
                      tolerance, task_threads, r);
       r.ok = true;
       r.seconds = seconds_since(start);

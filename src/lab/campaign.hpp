@@ -28,7 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "lab/pool.hpp"
+#include "common/pool.hpp"
 #include "lab/spec.hpp"
 
 namespace cs::lab {
@@ -67,7 +67,11 @@ struct TaskResult {
   // dense instance optimum), `guaranteed` repeats it (the dense m̃s matrix
   // is never materialized), and `thm46_gap` is the max Theorem 4.6
   // equality residual over every per-zone solve and the quotient solve —
-  // so the standard report gates enforce per-zone optimality.
+  // so the standard report gates enforce per-zone optimality.  Zoned drift
+  // or byz arms solve through the epoch trial, which sees the composed
+  // outcome and its per-zone and quotient residues (thm46_gap): they fill
+  // zone_count and zone_max_size, and leave zone_a_max_max and the
+  // realized split at 0.
   bool zoned{false};
   std::size_t zone_count{0};
   std::size_t zone_max_size{0};   ///< nodes in the largest zone
@@ -85,8 +89,6 @@ struct TaskResult {
   // instances.
   bool drifting{false};
   double drift_rho{0.0};          ///< declared oscillator band ρ
-  double drift_resync{0.0};       ///< re-sync interval I (0 = disabled)
-  double drift_horizon{0.0};      ///< evaluation horizon H
   double drift_window{0.0};       ///< effective estimation window W
   std::size_t drift_epochs{0};    ///< re-sync epochs evaluated
   double drift_bound{0.0};        ///< max drift-adjusted bound over epochs
@@ -98,11 +100,11 @@ struct TaskResult {
   // one to everyone else — and a `byz_detected` epoch is a synchronization
   // outage (the pipeline rejected the epoch as InvalidAssumption, honest
   // agents got no corrections), which the --check gate counts as a failure
-  // alongside soundness violations.
+  // alongside soundness violations.  Detection is counted on drift arms
+  // too: there it means the estimator guard was too thin for the drift.
   bool byzantine{false};
-  std::size_t byz_liars{0};          ///< lying agents in the resolved plan
   std::size_t byz_epochs{0};         ///< re-sync epochs evaluated
-  std::size_t byz_detected{0};       ///< epochs rejected (InvalidAssumption)
+  std::size_t byz_detected{0};       ///< detected epochs (any trial arm)
   std::size_t byz_violations{0};     ///< epochs with an unsound honest claim
   std::size_t byz_lied_stamps{0};    ///< timestamps the adversary corrupted
   std::size_t byz_quorum_dropped{0}; ///< max m̃ls edges quorum removed/epoch

@@ -23,26 +23,16 @@ std::string fmt(double v) {
 
 double parse_num(const std::string& token, std::size_t line_no,
                  const std::string& what) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return v;
-  } catch (const std::exception&) {
-    fail_line(line_no, "'" + token + "' is not a valid " + what);
-  }
+  const std::optional<double> v = parse_finite(token);
+  if (!v) fail_line(line_no, "'" + token + "' is not a valid " + what);
+  return *v;
 }
 
 std::uint64_t parse_u64(const std::string& token, std::size_t line_no,
                         const std::string& what) {
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return v;
-  } catch (const std::exception&) {
-    fail_line(line_no, "'" + token + "' is not a valid " + what);
-  }
+  const std::optional<std::uint64_t> v = parse_count(token);
+  if (!v) fail_line(line_no, "'" + token + "' is not a valid " + what);
+  return *v;
 }
 
 }  // namespace

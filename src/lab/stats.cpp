@@ -155,9 +155,11 @@ CampaignReport aggregate(const CampaignResult& result) {
       cell.drift_bound_max = std::max(cell.drift_bound_max, r.drift_bound);
       cell.drift_slope_max = std::max(cell.drift_slope_max, r.drift_slope);
     }
+    // Detected epochs fail report_ok on every trial arm, drift-only ones
+    // included: a guard too thin for the drift is an outage like a liar.
+    cell.byz_detected += r.byz_detected;
     if (r.byzantine) {
       cell.byz_epochs += r.byz_epochs;
-      cell.byz_detected += r.byz_detected;
       cell.byz_violations += r.byz_violations;
       cell.byz_lied_stamps += r.byz_lied_stamps;
       cell.byz_quorum_dropped =
@@ -195,9 +197,10 @@ bool report_ok(const CampaignReport& report, double tolerance) {
   if (report.failures != 0 || report.soundness_violations != 0) return false;
   for (const CellStats& cell : report.cells) {
     if (!cell.faulty && cell.thm46_max_gap > tolerance) return false;
-    // A detected Byzantine epoch is an outage: the pipeline (correctly)
-    // refused to certify, but the honest agents got no corrections.  An
-    // arm only validates when its estimator rode out every epoch.
+    // A detected epoch (a liar, or a drift guard too thin) is an outage:
+    // the pipeline (correctly) refused to certify, but the honest agents
+    // got no corrections.  An arm only validates when its estimator rode
+    // out every epoch.
     if (cell.byz_detected != 0) return false;
   }
   return true;

@@ -105,9 +105,10 @@ struct CellStats {
 
   // Byz-axis columns (zero on honest arms).  Soundness is scored over the
   // honest subgraph (campaign.hpp's TaskResult byz block); byz_detected
-  // epochs are synchronization outages and fail report_ok like violations.
+  // epochs — on any trial arm, drift-only ones included — are
+  // synchronization outages and fail report_ok like violations.
   std::size_t byz_epochs{0};          ///< total epochs over the cell's tasks
-  std::size_t byz_detected{0};        ///< total detection outages
+  std::size_t byz_detected{0};        ///< total detection outages (any arm)
   std::size_t byz_violations{0};      ///< total unsound honest-claim epochs
   std::size_t byz_lied_stamps{0};     ///< total corrupted timestamps
   std::size_t byz_quorum_dropped{0};  ///< max quorum-removed edges per epoch
@@ -141,8 +142,9 @@ struct CampaignReport {
 CampaignReport aggregate(const CampaignResult& result);
 
 /// True iff the campaign validates: no failed tasks, no soundness
-/// violations anywhere, no Byzantine detection outages (a detected epoch
-/// means honest agents got no corrections), and Theorem 4.6 equality
+/// violations anywhere, no detection outages on any drift or Byzantine
+/// arm (a detected epoch means honest agents got no corrections), and
+/// Theorem 4.6 equality
 /// within `tolerance` on every bounded task of every fault-free cell.
 bool report_ok(const CampaignReport& report,
                double tolerance = kThm46Tolerance);

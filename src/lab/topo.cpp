@@ -1,6 +1,7 @@
 #include "lab/topo.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -127,16 +128,9 @@ Topology make_datacenter(std::size_t spines, std::size_t racks,
 namespace {
 
 std::size_t parse_size(const std::string& token, const std::string& what) {
-  std::size_t pos = 0;
-  std::size_t v = 0;
-  try {
-    v = std::stoul(token, &pos);
-  } catch (const std::exception&) {
-    fail("topology spec: '" + token + "' is not a valid " + what);
-  }
-  if (pos != token.size())
-    fail("topology spec: '" + token + "' is not a valid " + what);
-  return v;
+  const std::optional<std::uint64_t> v = parse_count(token);
+  if (!v) fail("topology spec: '" + token + "' is not a valid " + what);
+  return *v;
 }
 
 std::vector<std::size_t> parse_dims(const std::string& token) {
@@ -222,11 +216,10 @@ TopoSpec parse_topo_spec(const std::string& text) {
   } else if (f == "er") {
     want(2, "N P");
     spec.dims = {parse_size(params[0], "node count")};
-    try {
-      spec.p = std::stod(params[1]);
-    } catch (const std::exception&) {
+    const std::optional<double> p = parse_finite(params[1]);
+    if (!p)
       fail("topology spec: '" + params[1] + "' is not a valid probability");
-    }
+    spec.p = *p;
   } else if (f == "ba") {
     want(2, "N M");
     spec.dims = {parse_size(params[0], "node count"),
@@ -272,6 +265,27 @@ std::vector<std::string> topo_families() {
   return {"line",  "ring",   "star",      "complete", "circulant",
           "tree",  "wan",    "grid",      "torus",    "toroid",
           "hypercube", "er", "ba",        "dc"};
+}
+
+std::optional<std::uint64_t> parse_count(const std::string& token) {
+  if (token.empty() || token[0] < '0' || token[0] > '9') return std::nullopt;
+  try {
+    std::size_t pos = 0;
+    const std::uint64_t v = std::stoull(token, &pos);
+    if (pos == token.size()) return v;
+  } catch (const std::exception&) {
+  }
+  return std::nullopt;
+}
+
+std::optional<double> parse_finite(const std::string& token) {
+  try {
+    std::size_t pos = 0;
+    const double v = std::stod(token, &pos);
+    if (pos == token.size() && std::isfinite(v)) return v;
+  } catch (const std::exception&) {
+  }
+  return std::nullopt;
 }
 
 }  // namespace cs::lab

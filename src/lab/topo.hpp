@@ -15,6 +15,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -99,5 +101,12 @@ Topology make_topology(const TopoSpec& spec, Rng& rng);
 
 /// All family names understood by parse_topo_spec, for help text and tests.
 std::vector<std::string> topo_families();
+
+/// Whole-token number parsers shared by the lab grammars; nullopt unless
+/// the entire token parses.  A count is digits only (std::stoull would
+/// wrap "-3" to ~2^64); a real must be finite (nan and inf slip past
+/// every range check, comparisons with NaN being false).
+std::optional<std::uint64_t> parse_count(const std::string& token);
+std::optional<double> parse_finite(const std::string& token);
 
 }  // namespace cs::lab

@@ -212,16 +212,16 @@ LiveReport run_live(const SystemModel& model, const LiveConfig& config) {
   // On a dishonest run the recorded views carry the *true* stamps while
   // the live leader computed from lied payloads, so the bitwise comparison
   // is meaningless by construction — skip it (report.checked stays false)
-  // and let the realized_precision rows carry the damage report.  A run
-  // with detected outages skips it too: the offline pipeline would reject
-  // the same inadmissible traffic by throwing instead of reporting.
-  const bool skip_offline = dishonest || report.detected_epochs > 0;
+  // and let the realized_precision rows carry the damage report.  Detected
+  // outages compare like any epoch: the offline driver reports the same
+  // inadmissible traffic as a detected epoch (precision +inf, no
+  // corrections), exactly what the live leader publishes.
   std::vector<EpochOutcome> offline;
-  if (!skip_offline && (config.offline_check || writer)) {
+  if (!dishonest && (config.offline_check || writer)) {
     offline = epochal_synchronize_incremental(model, host.views(),
                                               boundaries, epoch_options);
   }
-  if (config.offline_check && !skip_offline) {
+  if (config.offline_check && !dishonest) {
     report.checked = true;
     report.all_match = true;
     for (std::size_t k = 0; k < offline.size(); ++k) {

@@ -341,7 +341,12 @@ EpochRecord parse_outcome(const std::vector<std::string>& toks,
   expect("corrections");
   while (i < toks.size())
     r.corrections.push_back(parse_double(toks[i++], line_no));
-  if (r.corrections.size() != processors)
+  // A detected epoch (negative m̃ls cycle) records precision +inf, no
+  // components and no corrections; every other epoch corrects every
+  // processor.
+  const bool detected = r.precision.is_pos_inf() && r.corrections.empty() &&
+                        r.component_precision.empty();
+  if (r.corrections.size() != processors && !detected)
     parse_fail(line_no, "corrections count mismatch: got " +
                             std::to_string(r.corrections.size()) +
                             ", expected " + std::to_string(processors));

@@ -1,18 +1,23 @@
-// run_byz_trial end to end: honest trials are clean, a calibrated
-// equivocation silently violates the naive pipeline, quorum validation
-// rescues the same instance, and a bounded attack recovers in a finite,
-// measured number of epochs.  The arms mirror bench_e18_byz.
+// The epoch trial under Byzantine agents (lab/trial.hpp), end to end:
+// honest trials are clean, a calibrated equivocation silently violates the
+// naive pipeline, quorum validation rescues the same instance, and a
+// bounded attack recovers in a finite, measured number of epochs.  The
+// arms mirror bench_e18_byz.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "byz/harness.hpp"
+#include "lab/trial.hpp"
 #include "support/builders.hpp"
 
 namespace cs::byz {
 namespace {
+
+using lab::TrialConfig;
+using lab::TrialResult;
+using lab::run_trial;
 
 constexpr double kLb = 0.001;
 constexpr double kUb = 0.101;
@@ -30,8 +35,8 @@ std::vector<Duration> offsets(std::size_t n, double skew,
 // The calibrated complete-6 arm from E18: middle-quarter sampling leaves
 // slack for sub-threshold lies, sim_seed 13 / offset seed 25 is a seed
 // pair where mag 0.09 equivocation slips past detection.
-ByzTrialConfig complete6_config() {
-  ByzTrialConfig config;
+TrialConfig complete6_config() {
+  TrialConfig config;
   config.horizon = 32.0;
   config.interval = 8.0;
   config.skew = 0.25;
@@ -44,8 +49,8 @@ ByzTrialConfig complete6_config() {
 
 TEST(ByzHarness, HonestTrialIsClean) {
   const SystemModel model = test::bounded_model(make_complete(6), kLb, kUb);
-  ByzTrialConfig config = complete6_config();
-  const ByzTrialResult r = run_byz_trial(model, config);
+  TrialConfig config = complete6_config();
+  const TrialResult r = run_trial(model, config);
   ASSERT_TRUE(r.ok) << r.failure;
   EXPECT_EQ(r.epochs, 3u);
   EXPECT_EQ(r.detected_epochs, 0u);
@@ -53,36 +58,36 @@ TEST(ByzHarness, HonestTrialIsClean) {
   EXPECT_TRUE(r.sound);
   EXPECT_EQ(r.lied_stamps, 0u);
   EXPECT_LE(r.thm46_gap, 1e-9);
-  EXPECT_GE(r.claimed_honest_max, r.realized_honest_max);
+  EXPECT_GE(r.claimed_max, r.realized_max);
 }
 
 TEST(ByzHarness, CalibratedEquivocationSilentlyViolatesNaive) {
   const SystemModel model = test::bounded_model(make_complete(6), kLb, kUb);
-  ByzTrialConfig config = complete6_config();
+  TrialConfig config = complete6_config();
   config.plan.behavior = Behavior::kEquivocate;
   config.plan.f = 1;
   config.plan.magnitude = 0.09;
   config.plan.seed = 0xB12A;
-  const ByzTrialResult r = run_byz_trial(model, config);
+  const TrialResult r = run_trial(model, config);
   ASSERT_TRUE(r.ok) << r.failure;
   EXPECT_GT(r.lied_stamps, 0u);
   // The silent failure the robust estimators exist for: undetected epochs
   // whose published bound the honest agents measurably exceed.
   EXPECT_EQ(r.violations, 2u);
   EXPECT_FALSE(r.sound);
-  EXPECT_GT(r.realized_honest_max, r.claimed_honest_max);
+  EXPECT_GT(r.realized_max, r.claimed_max);
 }
 
 TEST(ByzHarness, QuorumValidationRescuesTheSameInstance) {
   const SystemModel model = test::bounded_model(make_complete(6), kLb, kUb);
-  ByzTrialConfig config = complete6_config();
+  TrialConfig config = complete6_config();
   config.plan.behavior = Behavior::kEquivocate;
   config.plan.f = 1;
   config.plan.magnitude = 0.09;
   config.plan.seed = 0xB12A;
-  config.robust.quorum = 3;
-  config.robust.quorum_tolerance = 0.002;
-  const ByzTrialResult r = run_byz_trial(model, config);
+  config.epoch.sync.robust.quorum = 3;
+  config.epoch.sync.robust.quorum_tolerance = 0.002;
+  const TrialResult r = run_trial(model, config);
   ASSERT_TRUE(r.ok) << r.failure;
   // Detection outages are permitted (loud, nobody misled); silence is not.
   EXPECT_EQ(r.violations, 0u);
@@ -91,14 +96,14 @@ TEST(ByzHarness, QuorumValidationRescuesTheSameInstance) {
 
 TEST(ByzHarness, BoundedAttackRecoversInFiniteEpochs) {
   const SystemModel model = test::bounded_model(make_complete(6), kLb, kUb);
-  ByzTrialConfig config = complete6_config();
+  TrialConfig config = complete6_config();
   config.horizon = 48.0;
   config.plan.behavior = Behavior::kEquivocate;
   config.plan.f = 1;
   config.plan.magnitude = 0.09;
   config.plan.seed = 0xB12A;
   config.plan.until = 16.0;
-  const ByzTrialResult r = run_byz_trial(model, config);
+  const TrialResult r = run_trial(model, config);
   ASSERT_TRUE(r.ok) << r.failure;
   ASSERT_TRUE(r.recovery_measured);
   EXPECT_TRUE(r.recovered);
@@ -108,13 +113,13 @@ TEST(ByzHarness, BoundedAttackRecoversInFiniteEpochs) {
 
 TEST(ByzHarness, TrialsAreDeterministic) {
   const SystemModel model = test::bounded_model(make_complete(6), kLb, kUb);
-  ByzTrialConfig config = complete6_config();
+  TrialConfig config = complete6_config();
   config.plan.behavior = Behavior::kEquivocate;
   config.plan.f = 2;
   config.plan.magnitude = 0.09;
   config.plan.seed = 0xB12A;
-  const ByzTrialResult a = run_byz_trial(model, config);
-  const ByzTrialResult b = run_byz_trial(model, config);
+  const TrialResult a = run_trial(model, config);
+  const TrialResult b = run_trial(model, config);
   ASSERT_TRUE(a.ok) << a.failure;
   ASSERT_TRUE(b.ok) << b.failure;
   EXPECT_EQ(a.lied_stamps, b.lied_stamps);
@@ -123,30 +128,30 @@ TEST(ByzHarness, TrialsAreDeterministic) {
   ASSERT_EQ(a.rows.size(), b.rows.size());
   for (std::size_t i = 0; i < a.rows.size(); ++i) {
     EXPECT_EQ(a.rows[i].detected, b.rows[i].detected);
-    EXPECT_DOUBLE_EQ(a.rows[i].claimed_honest, b.rows[i].claimed_honest);
-    EXPECT_DOUBLE_EQ(a.rows[i].realized_honest, b.rows[i].realized_honest);
+    EXPECT_DOUBLE_EQ(a.rows[i].claimed, b.rows[i].claimed);
+    EXPECT_DOUBLE_EQ(a.rows[i].realized, b.rows[i].realized);
   }
 }
 
 TEST(ByzHarness, ConfigErrorsComeBackAsFailures) {
   const SystemModel model = test::bounded_model(make_complete(6), kLb, kUb);
   {
-    ByzTrialConfig config = complete6_config();
+    TrialConfig config = complete6_config();
     config.start_offsets.pop_back();
-    const ByzTrialResult r = run_byz_trial(model, config);
+    const TrialResult r = run_trial(model, config);
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.failure.find("start offset"), std::string::npos);
   }
   {
-    ByzTrialConfig config = complete6_config();
+    TrialConfig config = complete6_config();
     config.horizon = 0.0;
-    EXPECT_FALSE(run_byz_trial(model, config).ok);
+    EXPECT_FALSE(run_trial(model, config).ok);
   }
   {
-    ByzTrialConfig config = complete6_config();
+    TrialConfig config = complete6_config();
     config.sample_lo = 0.0;
     config.sample_hi = 0.0;
-    EXPECT_FALSE(run_byz_trial(model, config).ok);
+    EXPECT_FALSE(run_trial(model, config).ok);
   }
 }
 

@@ -96,6 +96,29 @@ TEST(RobustTrim, HonestTrafficIsAnElementForElementCopy) {
   EXPECT_EQ(metrics.counter("robust.trimmed_observations"), 0u);
 }
 
+TEST(RobustTrim, DetrendedGateJudgesResidualsNotTheTrend) {
+  // One drifting direction: a steep rate trend, a ±10 µs sampling spread
+  // and one 3 ms lie.  On the raw d̃ the trend inflates the MAD (~1 ms)
+  // past the lie, so the plain gate keeps it; the gate on the residuals
+  // from the direction's line drops exactly the lie.
+  const SystemModel model = test::bounded_model(make_complete(2), 0.0, 1.0);
+  LinkTraffic traffic;
+  for (std::size_t i = 0; i < 40; ++i) {
+    const double t = 0.25 * static_cast<double>(i);
+    traffic.add(0, 1, {t, 0.010 + 4e-4 * t + (i % 2 == 0 ? 1e-5 : -1e-5)});
+  }
+  traffic.add(0, 1, {5.125, 0.010 + 4e-4 * 5.125 + 0.003});
+  EXPECT_EQ(trimmed_traffic(traffic, model, 6.0).direction(0, 1).size(), 41u);
+  Metrics metrics;
+  const LinkTraffic trimmed =
+      trimmed_traffic(traffic, model, 6.0, &metrics, /*detrend=*/true);
+  const auto kept = trimmed.direction(0, 1);
+  ASSERT_EQ(kept.size(), 40u);
+  for (const TimedObs& o : kept)
+    EXPECT_LT(o.delay, 0.010 + 4e-4 * o.send + 1e-4) << "t=" << o.send;
+  EXPECT_EQ(metrics.counter("robust.trimmed_observations"), 1u);
+}
+
 TEST(RobustQuorum, HonestMlsGraphSurvivesValidation) {
   const SystemModel model = test::bounded_model(make_complete(5), 0.0, 1.0);
   const SimResult sim = test::run_ping_pong(model, 78, 0.2);

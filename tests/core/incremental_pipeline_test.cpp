@@ -159,11 +159,11 @@ TEST(IncrementalPipeline, EpochalDriverMatchesFromScratch) {
         ClockTime{0.01}, ClockTime{1.0}, ClockTime{1.5}, ClockTime{2.0},
         ClockTime{2.5},  ClockTime{3.0}, ClockTime{10.0}};
 
-    SyncOptions options;
-    options.cycle_mean = CycleMeanAlgorithm::kHoward;
+    EpochOptions options;
+    options.sync.cycle_mean = CycleMeanAlgorithm::kHoward;
     Metrics metrics;
-    SyncOptions inc_options = options;
-    inc_options.metrics = &metrics;
+    EpochOptions inc_options = options;
+    inc_options.sync.metrics = &metrics;
 
     const auto scratch =
         epochal_synchronize(model, views, boundaries, options);

@@ -1,4 +1,4 @@
-// Detrending rate estimator (drift/rate_estimator.hpp): OLS recovery,
+// Detrending rate estimator (delaymodel/rate_estimator.hpp): OLS recovery,
 // windowing, clamping, re-anchoring and the raw fallback.
 
 #include <gtest/gtest.h>
@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "delaymodel/link_stats.hpp"
-#include "drift/rate_estimator.hpp"
+#include "delaymodel/rate_estimator.hpp"
 
 namespace cs::drift {
 namespace {

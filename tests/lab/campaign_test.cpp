@@ -247,7 +247,7 @@ TEST(CampaignDrift, DriftingArmsWithResyncStayWithinTheAdjustedBound) {
     EXPECT_GT(r.drift_epochs, 1u);
     EXPECT_DOUBLE_EQ(r.drift_rho, 200e-6);
     // Drift-adjusted soundness: realized vs claimed + 2rho(W + I), checked
-    // at every epoch inside the harness; `sound` folds every epoch.
+    // at every epoch inside the trial; `sound` folds every epoch.
     EXPECT_TRUE(r.sound) << "drift arm " << task.drift_id;
     EXPECT_GE(r.drift_bound, r.claimed);
     // Thm 4.6 equality holds per epoch on the drift-adjusted instances.
@@ -278,28 +278,89 @@ TEST(CampaignDrift, DisablingResyncViolatesTheBound) {
          "demonstration lost its teeth";
 }
 
-TEST(CampaignDrift, DriftArmsDoNotComposeWithFaultsOrZones) {
-  CampaignSpec spec = drifting_campaign();
-  FaultSpec drop;
-  drop.drop = 0.2;
-  spec.faults.push_back(drop);
-  spec.zones.push_back(ZoneAxisSpec{});
-  spec.zones.push_back(ZoneAxisSpec{"size", 3});
-  bool saw_fault_reject = false, saw_zone_reject = false;
+TEST(CampaignDrift, DriftAndByzComposeWithFaultsZonesAndEachOther) {
+  // Every drift and byz arm runs through the one epoch trial, so the
+  // pairings byz+zones, byz+drift, drift+faults and drift+zones are cells
+  // like any other: each task completes, and the deterministic reports
+  // byte-compare across thread counts.
+  std::istringstream is(
+      "chronosync-campaign v1\n"
+      "name composed\n"
+      "seed 23\n"
+      "seeds 1\n"
+      "skew 0.25\n"
+      "topology complete 6\n"
+      "mix bounds 0.001 0.101\n"
+      "faults none\n"
+      "faults drop 0.1\n"
+      "zones none\n"
+      "zones size 3\n"
+      "drift none\n"
+      "drift const 200 resync 8\n"
+      "byz none\n"
+      "byz equivocate f=1 mag=0.02 est=quorum\n"
+      "byz equivocate f=1 mag=0.02 est=robust\n");
+  const CampaignSpec spec = load_campaign(is);
+  bool saw[4] = {false, false, false, false};
   for (const TaskSpec& task : expand(spec)) {
     const TaskResult r = run_task(spec, task);
+    EXPECT_TRUE(r.ok) << "task " << task.index << ": " << r.failure;
     const bool faulty = spec.faults[task.fault_id].faulty();
     const bool zoned = spec.zone_arm(task.zone_id).zoned();
-    if (faulty || zoned) {
-      EXPECT_FALSE(r.ok);
-      if (faulty && !r.ok) saw_fault_reject = true;
-      if (!faulty && zoned && !r.ok) saw_zone_reject = true;
-    } else {
-      EXPECT_TRUE(r.ok) << r.failure;
+    const bool drifting = spec.drift_arm(task.drift_id).drifting();
+    const bool byzantine = spec.byz_arm(task.byz_id).byzantine();
+    EXPECT_EQ(r.zoned, zoned);
+    EXPECT_EQ(r.drifting, drifting);
+    EXPECT_EQ(r.byzantine, byzantine);
+    // The drift estimator trims its detrended residuals when the arm
+    // asks for it (est=robust); the trim must not cost an epoch.
+    if (drifting && byzantine) {
+      EXPECT_EQ(r.byz_detected, 0u);
     }
+    saw[0] = saw[0] || (byzantine && zoned);
+    saw[1] = saw[1] || (byzantine && drifting);
+    saw[2] = saw[2] || (drifting && faulty);
+    saw[3] = saw[3] || (drifting && zoned);
   }
-  EXPECT_TRUE(saw_fault_reject);
-  EXPECT_TRUE(saw_zone_reject);
+  for (const bool pairing : saw) EXPECT_TRUE(pairing);
+
+  RunOptions serial;
+  serial.threads = 1;
+  RunOptions parallel;
+  parallel.threads = 4;
+  const CampaignReport a = aggregate(run_campaign(spec, serial));
+  const CampaignReport b = aggregate(run_campaign(spec, parallel));
+  EXPECT_EQ(a.failures, 0u);
+  std::ostringstream ja, jb, ca, cb;
+  write_report_json(ja, a, /*include_timing=*/false);
+  write_report_json(jb, b, /*include_timing=*/false);
+  write_report_csv(ca, a);
+  write_report_csv(cb, b);
+  EXPECT_EQ(ja.str(), jb.str());
+  EXPECT_EQ(ca.str(), cb.str());
+}
+
+TEST(CampaignDrift, DetectedDriftEpochsFailTheCheck) {
+  // A band far narrower than the drift guard ρ·W: the widened estimates
+  // contradict the declared bounds, so every epoch is detected.  No liar
+  // is involved, and --check must still reject the cell.
+  std::istringstream is(
+      "chronosync-campaign v1\n"
+      "name narrow\n"
+      "seed 5\n"
+      "seeds 1\n"
+      "skew 0.25\n"
+      "topology complete 4\n"
+      "mix bounds 0.001 0.0011\n"
+      "faults none\n"
+      "drift const 200 resync 8\n");
+  const CampaignSpec spec = load_campaign(is);
+  const CampaignReport report = aggregate(run_campaign(spec, RunOptions{}));
+  ASSERT_EQ(report.failures, 0u);
+  ASSERT_EQ(report.cells.size(), 1u);
+  EXPECT_FALSE(report.cells[0].byzantine);
+  EXPECT_GT(report.cells[0].byz_detected, 0u);
+  EXPECT_FALSE(report_ok(report));
 }
 
 TEST(CampaignDrift, DriftReportsAreByteIdenticalForAnyThreadCount) {

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "common/metrics.hpp"
-#include "lab/pool.hpp"
+#include "common/pool.hpp"
 
 namespace cs::lab {
 namespace {

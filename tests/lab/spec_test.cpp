@@ -102,6 +102,19 @@ TEST(CampaignSpec, DiagnosticsCarryLineNumbers) {
                          "faults drop 1.5\n")
                 .find("[0, 1]"),
             std::string::npos);
+  // Negative counts, non-finite numbers and trailing characters are
+  // refused on their own line, never wrapped or let past a range check.
+  const std::string head(
+      "chronosync-campaign v1\nseeds 1\ntopology ring 3\n"
+      "mix bounds 0.001 0.002\n");
+  for (const char* bad :
+       {"seeds -1\n", "seed 7x\n", "zones size -1\n", "faults drop nan\n",
+        "skew inf\n", "delay-scale nan\n", "drift const nan resync 10\n",
+        "drift const 200 resync inf\n",
+        "drift const 200 resync 10 horizon nan\n", "topology ring -3\n",
+        "topology er 10 0.3abc\n", "topology er 10 nan\n"})
+    EXPECT_NE(expect_error(head + bad).find("line 5"), std::string::npos)
+        << bad;
 }
 
 TEST(CampaignSpec, ExpandIsTheDeclarationOrderOdometer) {

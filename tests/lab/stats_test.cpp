@@ -354,7 +354,7 @@ TEST(AggregateByz, CellsSplitByByzArmInOdometerOrder) {
   EXPECT_EQ(report.cells[0].byz_lied_stamps, 0u);
   EXPECT_TRUE(report.cells[1].byzantine);
   EXPECT_EQ(report.cells[1].tasks, 2u);
-  // Harness schedule: 3 epoch boundaries per task, summed over the cell.
+  // Trial schedule: 3 epoch boundaries per task, summed over the cell.
   EXPECT_EQ(report.cells[1].byz_epochs, 6u);
   EXPECT_GT(report.cells[1].byz_lied_stamps, 0u);
 }

@@ -182,6 +182,15 @@ TEST(TopoSpec, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_topo_spec("er 10"), Error);
   EXPECT_THROW(parse_topo_spec("er 10 huh"), Error);
   EXPECT_THROW(parse_topo_spec("dc 2 3"), Error);
+  // Negative counts must not wrap to ~2^64; probabilities must be finite
+  // and the whole token.
+  EXPECT_THROW(parse_topo_spec("ring -3"), Error);
+  EXPECT_THROW(parse_topo_spec("toroid 3x-3"), Error);
+  EXPECT_THROW(parse_topo_spec("dc 2 -1 3"), Error);
+  EXPECT_THROW(parse_topo_spec("ring +3"), Error);
+  EXPECT_THROW(parse_topo_spec("er 10 0.3abc"), Error);
+  EXPECT_THROW(parse_topo_spec("er 10 nan"), Error);
+  EXPECT_THROW(parse_topo_spec("er 10 inf"), Error);
 }
 
 TEST(TopoSpec, RejectsInvalidParameters) {

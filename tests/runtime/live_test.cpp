@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.hpp"
 #include "runtime/daemon.hpp"
@@ -141,6 +142,39 @@ TEST(LiveThreaded, EightAgentsConvergeOnWallClock) {
   EXPECT_GT(
       report.metrics.series_snapshot("runtime.ingest_latency_seconds").count,
       0u);
+}
+
+TEST(LiveThreaded, TooNarrowBoundsAreDetectedLiveAndOffline) {
+  // An honest run whose declared band is far too narrow: every round trip
+  // over real threads takes longer than the 2 µs the bounds allow, so
+  // every epoch's m̃ls graph has a negative cycle.  The live leader
+  // publishes a detection outage, the offline driver records a detected
+  // epoch over the same views, and the two compare equal.
+  SystemModel model = test::bounded_model(make_complete(4), 0.0, 1e-6);
+  LiveConfig config;
+  config.seed = 5;
+  config.transport = LiveTransportKind::kLoopbackThreaded;
+  config.agent.epochs = 2;
+  config.agent.warmup = Duration{0.05};
+  config.agent.spacing = Duration{0.02};
+  config.agent.report_at = Duration{0.3};
+  config.agent.period = Duration{0.3};
+  config.deadline = Duration{20.0};
+
+  const LiveReport report = run_live(model, config);
+  ASSERT_TRUE(report.converged) << "timed_out=" << report.timed_out;
+  ASSERT_EQ(report.epochs.size(), 2u);
+  EXPECT_EQ(report.detected_epochs, 2u);
+  ASSERT_TRUE(report.checked);
+  EXPECT_TRUE(report.all_match);
+  for (const LiveEpochReport& ep : report.epochs) {
+    EXPECT_TRUE(ep.detected) << "epoch " << ep.epoch;
+    EXPECT_TRUE(ep.matches_offline) << "epoch " << ep.epoch;
+    // Offline detection: no corrections and an unbounded precision.
+    ASSERT_TRUE(ep.offline_precision.has_value());
+    EXPECT_TRUE(std::isinf(*ep.offline_precision));
+    EXPECT_TRUE(ep.offline_corrections.empty());
+  }
 }
 
 TEST(LiveUdp, EightAgentsOverRealSocketsStayWithinTheBound) {

@@ -38,7 +38,7 @@ Trace exhaustive_trace() {
   t.plan.options.staleness.carry_forward = true;
   t.plan.options.staleness.widen_per_epoch = 0.005;
   t.plan.options.staleness.max_carry_epochs = 2;
-  t.plan.boundaries = {ClockTime{0.5}, ClockTime{1.0}};
+  t.plan.boundaries = {ClockTime{0.5}, ClockTime{1.0}, ClockTime{1.5}};
 
   TraceEvent ev;
   ev.kind = TraceEvent::Kind::kSend;
@@ -122,8 +122,15 @@ Trace exhaustive_trace() {
   rec.precision = ExtReal::infinity();
   rec.component_precision = {0.001, 0.002};
   t.recorded.push_back(rec);
+  // A detected epoch (negative m̃ls cycle): no components, no corrections.
+  rec.boundary = ClockTime{1.5};
+  rec.component_precision.clear();
+  rec.corrections.clear();
+  t.recorded.push_back(rec);
 
-  t.counters = {{"fault.dropped", 2}, {"pipeline.epochs", 2}};
+  t.counters = {{"fault.dropped", 2},
+                {"pipeline.detected_epochs", 1},
+                {"pipeline.epochs", 3}};
   return t;
 }
 
@@ -269,6 +276,27 @@ TEST(TraceFormatErrors, BadNumberNamesToken) {
   const std::string msg = trace_error(mutate_line(3, "seed banana"));
   EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
   EXPECT_NE(msg.find("'banana'"), std::string::npos) << msg;
+}
+
+TEST(TraceFormatErrors, FiniteOutcomeWithoutCorrectionsRejected) {
+  // Only a detected epoch (precision inf) may omit its corrections: a
+  // finite-precision record cut after `corrections` is truncated input.
+  std::stringstream ss;
+  save_trace(ss, exhaustive_trace());
+  std::string doc = ss.str();
+  const std::size_t from = doc.find("outcome 0 ");
+  ASSERT_NE(from, std::string::npos);
+  const std::size_t eol = doc.find('\n', from);
+  const std::size_t cut = doc.find(" corrections", from);
+  ASSERT_LT(cut, eol);
+  std::string line = doc.substr(from, cut - from);
+  const std::size_t comps = line.find(" components ");
+  ASSERT_NE(comps, std::string::npos);
+  line = line.substr(0, comps) + " components 0 corrections";
+  ASSERT_EQ(line.find("precision inf"), std::string::npos) << line;
+  doc.replace(from, eol - from, line);
+  const std::string msg = trace_error(doc);
+  EXPECT_NE(msg.find("corrections count mismatch"), std::string::npos) << msg;
 }
 
 TEST(TraceFormatErrors, MissingModelRejected) {

@@ -162,11 +162,11 @@ int cmd_run(const Args& args) {
   }
 
   if (args.on("--check") && !report_ok(report)) {
-    std::size_t byz_detected = 0;
-    for (const CellStats& cell : report.cells) byz_detected += cell.byz_detected;
+    std::size_t detected = 0;
+    for (const CellStats& cell : report.cells) detected += cell.byz_detected;
     std::cout << "check FAILED: failures=" << report.failures
               << " soundness_violations=" << report.soundness_violations
-              << " byz_detection_outages=" << byz_detected
+              << " detection_outages=" << detected
               << " thm46_max_gap=" << report.thm46_max_gap << " (tolerance "
               << kThm46Tolerance << ")\n";
     return kExitCheckFailed;

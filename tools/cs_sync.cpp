@@ -260,11 +260,12 @@ ReplayPlan plan_from(const Args& args) {
 
 void describe_epoch(std::size_t k, const EpochOutcome& ep) {
   std::printf("epoch %zu  boundary %s  precision %s  coverage %zu/%zu  "
-              "carried %zu  paired %zu\n",
+              "carried %zu  paired %zu%s\n",
               k, num(ep.boundary.sec).c_str(),
               num(ep.sync.optimal_precision.value()).c_str(),
               ep.coverage.observed_directions, ep.coverage.total_directions,
-              ep.carried_edges, ep.pairing.paired);
+              ep.carried_edges, ep.pairing.paired,
+              ep.detected ? "  DETECTED: inadmissible traffic" : "");
 }
 
 std::string epoch_json(const EpochOutcome& ep) {
@@ -276,6 +277,7 @@ std::string epoch_json(const EpochOutcome& ep) {
          std::to_string(ep.coverage.total_directions) + "]";
   out += ", \"carried_edges\": " + std::to_string(ep.carried_edges);
   out += ", \"paired\": " + std::to_string(ep.pairing.paired);
+  if (ep.detected) out += ", \"detected\": true";
   out += ", \"corrections\": " + jarray(ep.sync.corrections);
   out += "}";
   return out;
