@@ -5,9 +5,13 @@
 // Karp's cycle mean O(nm) = O(n^3) on complete shift graphs, Bellman-Ford
 // corrections O(n^3), Johnson APSP O(nm + n^2 log n) on sparse network
 // graphs — and the end-to-end correction computation for a 64-processor
-// system stays comfortably interactive.
-// Expected shape: Karp ~8x per doubling of n (cubic); Johnson much flatter
-// than Floyd-Warshall on rings; synchronize() dominated by Karp at scale.
+// system stays comfortably interactive.  SHIFTS runs Howard's policy
+// iteration (BM_HowardDense); the Karp kernels are the test oracles it is
+// checked against, timed here for comparison.
+// Expected shape: Karp ~8x per doubling of n (cubic); Howard O(n^2) per
+// policy round with an instance-dependent round count (on these random
+// matrices 2x slower than dense Karp at n = 64 and 2x faster at 512);
+// Johnson much flatter than Floyd-Warshall on rings.
 //
 // The former hand-rolled BM_EndToEndSynchronize / BM_SimulatorPingPong
 // loops are replaced by a lab campaign (simulate + synchronize + validate
@@ -20,6 +24,7 @@
 #include "lab/campaign.hpp"
 #include "lab/stats.hpp"
 #include "support.hpp"
+#include "support/cycle_mean_oracle.hpp"
 
 namespace {
 
@@ -58,9 +63,9 @@ void BM_KarpMaxCycleMean(benchmark::State& state) {
 BENCHMARK(BM_KarpMaxCycleMean)->RangeMultiplier(2)->Range(8, 64)
     ->Unit(benchmark::kMicrosecond)->Complexity(benchmark::oNCubed);
 
-// The kernel SHIFTS actually runs: dense Karp straight off the row-major
-// m̃s block, scratch in a reused arena (the graph oracle above rebuilds a
-// Digraph and nested walk-table vectors per call).
+// Dense Karp straight off the row-major m̃s block, scratch in a reused
+// arena (the graph oracle above rebuilds a Digraph and nested walk-table
+// vectors per call).
 void BM_KarpDense(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   DistanceMatrix ms = random_ms(n, 42);
@@ -74,6 +79,24 @@ void BM_KarpDense(benchmark::State& state) {
 }
 BENCHMARK(BM_KarpDense)->RangeMultiplier(2)->Range(64, 512)
     ->Unit(benchmark::kMicrosecond)->Complexity(benchmark::oNCubed);
+
+// The kernel SHIFTS runs: cold-start Howard on the same matrices as
+// BM_KarpDense.
+void BM_HowardDense(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  DistanceMatrix ms = random_ms(n, 42);
+  const double* w = &ms.at(0, 0);
+  EpochArena arena;
+  std::vector<NodeId> policy(n);
+  for (auto _ : state) {
+    arena.reset();
+    benchmark::DoNotOptimize(
+        max_cycle_mean_howard_dense(w, n, {}, policy, arena, nullptr).mean);
+  }
+  state.SetComplexityN(static_cast<benchmark::IterationCount>(n));
+}
+BENCHMARK(BM_HowardDense)->RangeMultiplier(2)->Range(64, 512)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ShiftsCorrections(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

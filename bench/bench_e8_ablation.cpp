@@ -1,8 +1,8 @@
 // E8 — Design-choice ablations.
 //
-// (a) Cycle mean: Karp's exact O(nm) algorithm (the paper's choice; the
-//     graph oracle and the dense kernel SHIFTS runs) vs Howard's policy
-//     iteration (dense kernel) vs a Lawler-style binary search on
+// (a) Cycle mean: Karp's exact O(nm) algorithm (the paper's choice; graph
+//     and dense forms, kept as test oracles) vs Howard's policy iteration
+//     (the dense kernel SHIFTS runs) vs a Lawler-style binary search on
 //     negative-cycle detection.  Expected: all agree to tolerance; the two
 //     Karps bit for bit, Karp and Howard to rounding, bsearch to its 1e-9
 //     stopping width.
@@ -19,6 +19,7 @@
 
 #include "graph/arena.hpp"
 #include "support.hpp"
+#include "support/cycle_mean_oracle.hpp"
 
 namespace {
 

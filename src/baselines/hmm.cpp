@@ -25,11 +25,13 @@ SyncOutcome hmm_one_shot(const SystemModel& model, std::span<const View> views,
   SyncOutcome out;
   out.mls_graph = mls_graph_from_stats(model, stats);
   out.ms_estimates = global_shift_estimates(out.mls_graph, options.apsp);
-  ShiftsResult shifts = compute_shifts(out.ms_estimates, options.root);
+  ShiftsResult shifts =
+      compute_shifts(out.ms_estimates, {.root = options.root});
   out.corrections = std::move(shifts.corrections);
   out.optimal_precision = shifts.a_max;
   out.components = std::move(shifts.components);
   out.component_precision = std::move(shifts.component_a_max);
+  out.critical_cycle = std::move(shifts.critical_cycle);
   return out;
 }
 

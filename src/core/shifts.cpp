@@ -92,8 +92,9 @@ NodeId warm_local_index(const std::vector<NodeId>& members,
   return static_cast<NodeId>(it - members.begin());
 }
 
-/// Solves one finiteness component: dense max cycle mean over the compacted
-/// k x k m̃s block, then matrix Bellman–Ford corrections.  Writes only this
+/// Solves one finiteness component: Howard's max cycle mean over the
+/// compacted k x k m̃s block (and, on a bounded instance, the policy cycle
+/// attaining it), then matrix Bellman–Ford corrections.  Writes only this
 /// component's slices of `res` (disjoint across components), so components
 /// may be solved concurrently with byte-identical output.
 void solve_component(const DistanceMatrix& ms, const ShiftsOptions& options,
@@ -106,7 +107,7 @@ void solve_component(const DistanceMatrix& ms, const ShiftsOptions& options,
     // Max mean cycle within the component.  The m̃s entries between
     // component members are all finite (strong connectivity of the finite
     // graph + the matrix being a shortest-path closure); compact them into
-    // a dense block so the kernels run off flat rows.
+    // a dense block so the kernel runs off flat rows.
     std::span<double> w = arena.alloc<double>(k * k);
     for (std::size_t i = 0; i < k; ++i) {
       double* wi = w.data() + i * k;
@@ -123,33 +124,34 @@ void solve_component(const DistanceMatrix& ms, const ShiftsOptions& options,
         wi[j] = ms_ij;
       }
     }
-    if (options.algorithm == CycleMeanAlgorithm::kKarp) {
-      a_max_c = max_cycle_mean_karp_dense(w.data(), k, arena);
-    } else {
-      // Warm policy mapped into the component's local indices; entries
-      // pointing outside this component fall back to greedy.
-      std::span<NodeId> warm_local;
-      if (options.warm_policy != nullptr && options.warm_policy->size() == n) {
-        warm_local = arena.alloc<NodeId>(k);
-        for (std::size_t i = 0; i < k; ++i)
-          warm_local[i] = warm_local_index(
-              members, res.components, c, (*options.warm_policy)[members[i]],
-              n);
-      }
-      std::span<NodeId> policy_local = arena.alloc<NodeId>(k);
-      const HowardDenseResult hr = max_cycle_mean_howard_dense(
-          w.data(), k, warm_local, policy_local, arena, options.metrics);
-      if (!hr.converged) {
-        // Reported through metrics above; without a sink this must not
-        // pass silently (the mean may undershoot and poison corrections).
-        if (options.metrics == nullptr)
-          throw Error(
-              "compute_shifts: Howard iteration exited on its backstop "
-              "without converging");
-      }
-      a_max_c = hr.mean;
+    // Warm policy mapped into the component's local indices; entries
+    // pointing outside this component fall back to greedy.
+    std::span<NodeId> warm_local;
+    if (options.warm_policy != nullptr && options.warm_policy->size() == n) {
+      warm_local = arena.alloc<NodeId>(k);
       for (std::size_t i = 0; i < k; ++i)
-        res.policy[members[i]] = members[policy_local[i]];
+        warm_local[i] = warm_local_index(
+            members, res.components, c, (*options.warm_policy)[members[i]],
+            n);
+    }
+    std::span<NodeId> policy_local = arena.alloc<NodeId>(k);
+    const HowardDenseResult hr = max_cycle_mean_howard_dense(
+        w.data(), k, warm_local, policy_local, arena, options.metrics);
+    // Counted in the metrics above; the mean may undershoot and poison
+    // the corrections, so it never passes.
+    if (!hr.converged)
+      throw Error(
+          "compute_shifts: Howard iteration exited on its backstop "
+          "without converging");
+    a_max_c = hr.mean;
+    for (std::size_t i = 0; i < k; ++i)
+      res.policy[members[i]] = members[policy_local[i]];
+    if (res.components.component_count == 1) {
+      NodeId v = hr.critical;
+      do {
+        res.critical_cycle.push_back(members[v]);
+        v = policy_local[v];
+      } while (v != hr.critical);
     }
   }
   res.component_a_max[c] = a_max_c;
@@ -171,24 +173,21 @@ ShiftsResult compute_shifts(const DistanceMatrix& ms,
   if (n == 0) throw Error("compute_shifts: empty instance");
   if (options.root >= n) throw Error("compute_shifts: root out of range");
   // NaN entries poison every downstream comparison silently (relaxations
-  // and cycle-mean maxima all evaluate false), so reject them up front.
+  // and cycle-mean maxima all evaluate false), so reject them up front;
+  // the same pass finds whether every pair is bounded.
+  bool all_finite = true;
   for (std::size_t p = 0; p < n; ++p)
-    for (std::size_t q = 0; q < n; ++q)
-      if (std::isnan(ms.at(p, q)))
+    for (std::size_t q = 0; q < n; ++q) {
+      const double v = ms.at(p, q);
+      if (std::isnan(v))
         throw Error("compute_shifts: m̃s matrix carries NaN entries");
+      if (v == kInfDist && p != q) all_finite = false;
+    }
   Metrics* metrics = options.metrics;
   auto timer = Metrics::scoped(metrics, "stage.shifts_seconds");
 
   ShiftsResult res;
   res.corrections.assign(n, 0.0);
-
-  bool all_finite = true;
-  for (std::size_t p = 0; p < n && all_finite; ++p)
-    for (std::size_t q = 0; q < n; ++q)
-      if (p != q && ms.at(p, q) == kInfDist) {
-        all_finite = false;
-        break;
-      }
   if (all_finite) {
     // Bounded instance: one finiteness component holding every processor.
     // Skipping the graph build + Tarjan here keeps the per-epoch hot path
@@ -200,8 +199,7 @@ ShiftsResult compute_shifts(const DistanceMatrix& ms,
   }
   const auto groups = res.components.members();
   res.component_a_max.assign(groups.size(), 0.0);
-  if (options.algorithm == CycleMeanAlgorithm::kHoward)
-    res.policy.assign(n, kNoPolicyEdge);
+  res.policy.assign(n, kNoPolicyEdge);
 
   const bool bounded = groups.size() == 1;
 
@@ -232,14 +230,6 @@ ShiftsResult compute_shifts(const DistanceMatrix& ms,
   }
   metrics_increment(metrics, "shifts.runs");
   return res;
-}
-
-ShiftsResult compute_shifts(const DistanceMatrix& ms, NodeId root,
-                            CycleMeanAlgorithm algorithm) {
-  ShiftsOptions options;
-  options.root = root;
-  options.algorithm = algorithm;
-  return compute_shifts(ms, options);
 }
 
 }  // namespace cs

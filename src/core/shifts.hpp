@@ -3,7 +3,8 @@
 // Inputs: the matrix of estimated maximal global shifts m̃s(p, q).
 // Outputs: the optimal corrections and their precision Ã^max = A^max.
 //
-//   1. Ã^max = maximum mean cycle of the shift graph (Karp).
+//   1. Ã^max = maximum mean cycle of the shift graph (Howard's policy
+//      iteration; its policy cycle is the Thm 4.4 witness).
 //   2. correction(p) = dist_w(root, p) under w(p,q) = Ã^max - m̃s(p,q)
 //      (Bellman–Ford: weights may be negative; Theorem 4.6 guarantees no
 //      negative cycles).
@@ -43,28 +44,26 @@ struct ShiftsResult {
   /// Optimal precision within each component (0 for singletons).
   std::vector<double> component_a_max;
 
-  /// Howard policy (successor per processor, kNoPolicyEdge where none) when
-  /// the Howard algorithm ran; empty under Karp.  Feed back through
-  /// ShiftsOptions::warm_policy on the next epoch.
+  /// Howard policy (successor per processor, kNoPolicyEdge for a processor
+  /// alone in its component).  Feed back through ShiftsOptions::warm_policy
+  /// on the next epoch.
   std::vector<NodeId> policy;
+
+  /// The witness of Theorem 4.4 on bounded instances: the policy cycle
+  /// p_0 -> p_1 -> ... -> p_{k-1} -> p_0 whose mean m̃s weight, summed in
+  /// this order, is the reported Ã^max.  Its links bound the precision:
+  /// tightening their delay knowledge is the only way to improve it.
+  /// Empty when unbounded or for a single processor.
+  std::vector<NodeId> critical_cycle;
 
   bool bounded() const { return a_max.is_finite(); }
 };
-
-/// Which maximum-cycle-mean algorithm drives step 1.  Karp is the paper's
-/// prescription and the default; Howard's policy iteration is measurably
-/// faster on large dense instances (bench E8a).  The two agree only up to
-/// float rounding: their Ã^max routinely differ in the last bits, which
-/// DESIGN.md's tolerance contract (tolerance_scale × max(1, |Ã^max|))
-/// absorbs.
-enum class CycleMeanAlgorithm { kKarp, kHoward };
 
 struct ShiftsOptions {
   /// Breaks the additive-constant gauge freedom; any root yields corrections
   /// differing by a per-component constant, which does not affect pairwise
   /// precision.
   NodeId root{0};
-  CycleMeanAlgorithm algorithm{CycleMeanAlgorithm::kKarp};
 
   /// Relative scale of the Bellman–Ford relaxation tolerance in the
   /// corrections step: epsilon = tolerance_scale * max(1, |Ã^max|).  The
@@ -75,18 +74,18 @@ struct ShiftsOptions {
   double tolerance_scale{1e-9};
 
   /// Previous epoch's ShiftsResult::policy to warm-start Howard's policy
-  /// iteration (ignored under Karp; nullptr = cold start).
+  /// iteration (nullptr = cold start).
   const std::vector<NodeId>* warm_policy{nullptr};
 
   /// Optional instrumentation sink (stage timings, Howard iteration counts,
-  /// backstop reports).  nullptr = no instrumentation.
+  /// backstop exits, which also throw).  nullptr = no instrumentation.
   Metrics* metrics{nullptr};
 
-  /// Scratch arena for the dense cycle-mean kernels and correction
-  /// distances (walk tables, policy/value vectors).  The call reset()s it
-  /// on entry and leaves its allocations dead on exit.  nullptr = the call
-  /// uses a private arena (still no per-component heap churn, but capacity
-  /// is not retained across epochs).
+  /// Scratch arena for the cycle-mean kernel and correction distances
+  /// (policy/value vectors).  The call reset()s it on entry and leaves its
+  /// allocations dead on exit.  nullptr = the call uses a private arena
+  /// (still no per-component heap churn, but capacity is not retained
+  /// across epochs).
   EpochArena* arena{nullptr};
 
   /// Worker threads for per-component solves on unbounded instances.
@@ -99,13 +98,10 @@ struct ShiftsOptions {
 };
 
 /// `ms` is the m̃s matrix from global_shift_estimates (diagonal 0, +inf for
-/// unconstrained pairs).
+/// unconstrained pairs).  Throws cs::Error if Howard's iteration exits on
+/// its backstop without converging (after counting the exit in
+/// options.metrics): its mean could undershoot Ã^max.
 ShiftsResult compute_shifts(const DistanceMatrix& ms,
-                            const ShiftsOptions& options);
-
-/// Convenience overload preserving the historical signature.
-ShiftsResult compute_shifts(
-    const DistanceMatrix& ms, NodeId root = 0,
-    CycleMeanAlgorithm algorithm = CycleMeanAlgorithm::kKarp);
+                            const ShiftsOptions& options = {});
 
 }  // namespace cs

@@ -34,8 +34,10 @@ SyncOutcome zoned_as_outcome(ZonedOutcome&& z) {
   }
   out.mls_graph = std::move(z.mls_graph);
   out.zone_thm46_gap = z.quotient_thm46_gap;
-  for (const ZoneStats& st : z.zones)
+  for (const ZoneStats& st : z.zones) {
     out.zone_thm46_gap = std::max(out.zone_thm46_gap, st.thm46_gap);
+    if (st.bounded) out.zone_a_max_max = std::max(out.zone_a_max_max, st.a_max);
+  }
   return out;
 }
 
@@ -83,7 +85,6 @@ SyncOutcome synchronize_mls(Digraph mls_graph, const SyncOptions& options) {
 
   ShiftsOptions shift_options;
   shift_options.root = options.root;
-  shift_options.algorithm = options.cycle_mean;
   shift_options.metrics = options.metrics;
   shift_options.threads = options.threads;
   ShiftsResult shifts = compute_shifts(out.ms_estimates, shift_options);
@@ -91,6 +92,7 @@ SyncOutcome synchronize_mls(Digraph mls_graph, const SyncOptions& options) {
   out.optimal_precision = shifts.a_max;
   out.components = std::move(shifts.components);
   out.component_precision = std::move(shifts.component_a_max);
+  out.critical_cycle = std::move(shifts.critical_cycle);
   metrics_increment(options.metrics, "pipeline.runs");
   return out;
 }

@@ -27,7 +27,6 @@ struct SyncOptions {
   /// Root processor for the gauge choice (correction of root is 0).
   NodeId root{0};
   ApspAlgorithm apsp{ApspAlgorithm::kJohnson};
-  CycleMeanAlgorithm cycle_mean{CycleMeanAlgorithm::kKarp};
   /// kDropOrphans when the views are epoch-boundary prefixes.
   MatchPolicy match{MatchPolicy::kStrict};
   /// Optional instrumentation sink: per-stage wall-clock timings
@@ -78,13 +77,20 @@ struct SyncOutcome {
   SccResult components;
   std::vector<double> component_precision;
 
+  /// The Thm 4.4 witness: a cycle of processors whose mean m̃s weight is
+  /// optimal_precision (ShiftsResult::critical_cycle).  Empty when
+  /// unbounded, zoned, or for a single processor.
+  std::vector<NodeId> critical_cycle;
+
   /// Intermediate products, exposed for inspection, evaluation and tests.
   Digraph mls_graph;
   DistanceMatrix ms_estimates;
 
   /// Zoned solves only (ms_estimates stays empty there): the max Thm 4.6
-  /// equality residue over the zones and the leader quotient.
+  /// equality residue over the zones and the leader quotient, and the max
+  /// per-zone Ã^max over the bounded zones.
   double zone_thm46_gap{0.0};
+  double zone_a_max_max{0.0};
 
   bool bounded() const { return optimal_precision.is_finite(); }
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <queue>
 #include <unordered_map>
 
@@ -212,7 +213,6 @@ ZonedOutcome synchronize_zoned_mls(Digraph mls_graph, const ZonePlan& plan_in,
               global_shift_estimates(sub, options.apsp, nullptr);
           ShiftsOptions so;
           so.root = local[out.plan.leaders[z]];
-          so.algorithm = options.cycle_mean;
           ShiftsResult sr = compute_shifts(ms, so);
 
           ZoneSolve& s = solved[z];
@@ -267,7 +267,6 @@ ZonedOutcome synchronize_zoned_mls(Digraph mls_graph, const ZonePlan& plan_in,
   {
     ShiftsOptions qo;
     qo.root = out.plan.zone_of[options.root];
-    qo.algorithm = options.cycle_mean;
     qo.metrics = options.metrics;
     ShiftsResult qs = compute_shifts(out.quotient_ms, qo);
     out.quotient_a_max = qs.a_max;
@@ -354,28 +353,37 @@ ZoneRealized realized_precision_zoned(std::span<const RealTime> starts,
   const std::size_t n = starts.size();
   if (x.size() != n)
     throw InvalidExecution("realized precision: starts/corrections mismatch");
-  if (plan.zone_of.size() != n)
+  std::vector<double> d(n);
+  for (std::size_t p = 0; p < n; ++p) d[p] = starts[p].sec - x[p];
+  std::vector<NodeId> all(n);
+  std::iota(all.begin(), all.end(), NodeId{0});
+  return zone_split(d, all, plan);
+}
+
+ZoneRealized zone_split(std::span<const double> d,
+                        std::span<const NodeId> members,
+                        const ZonePlan& plan) {
+  if (plan.zone_of.size() != d.size())
     throw InvalidExecution("realized precision: plan does not cover starts");
 
   ZoneRealized r;
-  r.per_zone.assign(plan.count, 0.0);
-  if (n < 2) return r;
+  if (members.size() < 2) return r;
 
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<double> lo(plan.count, kInf), hi(plan.count, -kInf);
-  for (std::size_t p = 0; p < n; ++p) {
-    const double d = starts[p].sec - x[p];
-    if (std::isnan(d))
+  for (const NodeId p : members) {
+    if (std::isnan(d[p]))
       throw InvalidExecution("realized precision: non-finite discrepancy");
     const std::uint32_t z = plan.zone_of[p];
-    lo[z] = std::min(lo[z], d);
-    hi[z] = std::max(hi[z], d);
+    lo[z] = std::min(lo[z], d[p]);
+    hi[z] = std::max(hi[z], d[p]);
   }
 
+  // Memberless zones keep lo = +inf and hi = −inf, so they never win a
+  // max or a min below.
   double glo = kInf, ghi = -kInf;
   for (std::size_t z = 0; z < plan.count; ++z) {
-    r.per_zone[z] = hi[z] - lo[z];
-    r.intra = std::max(r.intra, r.per_zone[z]);
+    r.intra = std::max(r.intra, hi[z] - lo[z]);
     glo = std::min(glo, lo[z]);
     ghi = std::max(ghi, hi[z]);
   }
@@ -394,7 +402,6 @@ ZoneRealized realized_precision_zoned(std::span<const RealTime> starts,
       const double other = (z == best) ? second : lo[best];
       r.cross = std::max(r.cross, hi[z] - other);
     }
-    r.cross = std::max(r.cross, 0.0);
   }
   return r;
 }

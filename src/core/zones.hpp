@@ -155,10 +155,17 @@ struct ZoneRealized {
   double overall{0.0};  ///< max pairwise discrepancy, all processors
   double intra{0.0};    ///< max over zones of the within-zone discrepancy
   double cross{0.0};    ///< max discrepancy over pairs in different zones
-  std::vector<double> per_zone;
 };
 ZoneRealized realized_precision_zoned(std::span<const RealTime> starts,
                                       std::span<const double> x,
                                       const ZonePlan& plan);
+
+/// The same split over per-processor discrepancies d (any reading whose
+/// pairwise differences are the corrected-clock differences) of `members`
+/// only, e.g. the honest agents of a Byzantine trial.  Zones without a
+/// member contribute nothing.
+ZoneRealized zone_split(std::span<const double> d,
+                        std::span<const NodeId> members,
+                        const ZonePlan& plan);
 
 }  // namespace cs

@@ -1,7 +1,7 @@
 // EpochArena: reusable bump allocation for per-epoch scratch.
 //
 // The epoch pipeline re-runs the same shaped computations every boundary —
-// Johnson potentials, per-source distance arrays, Karp walk tables, Howard
+// Johnson potentials, per-source distance arrays, dense m̃s blocks, Howard
 // policy/value vectors.  Allocating those from the heap each epoch costs
 // more than some of the arithmetic they hold; the arena instead carves them
 // out of a few large chunks with a pointer bump and recycles the chunks

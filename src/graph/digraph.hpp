@@ -4,7 +4,7 @@
 //   * the *network graph* G = (V, E) whose edges carry m̃ls weights
 //     (GLOBAL ESTIMATES, Theorem 5.5), and
 //   * the *complete shift graph* on processors whose edges carry m̃s weights
-//     (SHIFTS, Theorem 4.6, and Karp's cycle-mean computation).
+//     (SHIFTS' finiteness components, Theorem 4.6).
 //
 // Edge weights are finite doubles; "+inf" weights in the theory are
 // represented by *absence* of the edge, which keeps every algorithm here

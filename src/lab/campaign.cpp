@@ -161,6 +161,11 @@ void run_trial_task(const CampaignSpec& spec, const TaskSpec& task,
     r.byz_lied_stamps = trial.lied_stamps;
     r.byz_quorum_dropped = trial.quorum_dropped_max;
   }
+  if (r.zoned) {
+    r.zone_a_max_max = trial.zone_a_max_max;
+    r.realized_intra = trial.realized_intra_max;
+    r.realized_cross = trial.realized_cross_max;
+  }
   // A detected epoch is an outage whatever its cause (a liar, or an
   // estimator guard too thin for the drift): the --check gate fails it.
   r.byz_detected = trial.detected_epochs;

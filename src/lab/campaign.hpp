@@ -68,10 +68,8 @@ struct TaskResult {
   // is never materialized), and `thm46_gap` is the max Theorem 4.6
   // equality residual over every per-zone solve and the quotient solve —
   // so the standard report gates enforce per-zone optimality.  Zoned drift
-  // or byz arms solve through the epoch trial, which sees the composed
-  // outcome and its per-zone and quotient residues (thm46_gap): they fill
-  // zone_count and zone_max_size, and leave zone_a_max_max and the
-  // realized split at 0.
+  // or byz arms solve through the epoch trial: their zone_a_max_max is the
+  // max over epochs, and the realized split covers the honest agents.
   bool zoned{false};
   std::size_t zone_count{0};
   std::size_t zone_max_size{0};   ///< nodes in the largest zone

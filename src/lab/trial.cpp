@@ -10,6 +10,7 @@
 #include "byz/injector.hpp"
 #include "common/error.hpp"
 #include "core/precision.hpp"
+#include "core/zones.hpp"
 #include "drift/scheduler.hpp"
 #include "proto/ping_pong.hpp"
 #include "sim/clock.hpp"
@@ -18,23 +19,29 @@
 namespace cs::lab {
 namespace {
 
-/// Ground-truth corrected spread over `members` at real time t: the max
-/// pairwise difference of the true corrected clocks.  Drift-free clocks
-/// read t − S_p, so their spread is that of x_p − S_p, taken exactly
-/// without rounding through t; drifting clocks are read off the
-/// oscillators.  0 for fewer than two members.
-double honest_spread(std::span<const ProcessorId> members, double t,
-                     std::span<const Clock> clocks,
-                     std::span<const Duration> offsets,
-                     std::span<const double> corrections) {
-  if (members.size() < 2) return 0.0;
+/// Ground-truth corrected clocks of `procs` at real time t, into
+/// reading[p], up to a constant shared by every processor: drift-free
+/// clocks read t − S_p, so x_p − S_p is taken exactly without rounding
+/// through t; drifting clocks are read off the oscillators.
+void read_corrected(std::span<const ProcessorId> procs, double t,
+                    std::span<const Clock> clocks,
+                    std::span<const Duration> offsets,
+                    std::span<const double> corrections,
+                    std::vector<double>& reading) {
+  for (ProcessorId p : procs)
+    reading[p] = clocks.empty()
+                     ? corrections[p] - offsets[p].sec
+                     : clocks[p].at(RealTime{t}).sec + corrections[p];
+}
+
+/// Corrected spread over `members` (two or more): the max pairwise
+/// difference of their readings.
+double spread(std::span<const ProcessorId> members,
+              const std::vector<double>& reading) {
   double lo = std::numeric_limits<double>::infinity(), hi = -lo;
   for (ProcessorId p : members) {
-    const double c = clocks.empty()
-                         ? corrections[p] - offsets[p].sec
-                         : clocks[p].at(RealTime{t}).sec + corrections[p];
-    lo = std::min(lo, c);
-    hi = std::max(hi, c);
+    lo = std::min(lo, reading[p]);
+    hi = std::max(hi, reading[p]);
   }
   return hi - lo;
 }
@@ -166,7 +173,8 @@ TrialResult run_trial(const SystemModel& model, const TrialConfig& config) {
                             epoch.sync.zones == nullptr;
 
     bool recovered = false;
-    std::vector<ProcessorId> members;
+    std::vector<ProcessorId> members, scored;
+    std::vector<std::vector<double>> readings(2, std::vector<double>(n));
     for (std::size_t k = 0; k < outcomes.size(); ++k) {
       const EpochOutcome& e = outcomes[k];
       const SyncOutcome& out = e.sync;
@@ -204,6 +212,10 @@ TrialResult run_trial(const SystemModel& model, const TrialConfig& config) {
                                     : horizon;
         const double instants[2] = {(row.boundary + hold_end) / 2.0,
                                     hold_end};
+        for (std::size_t i = 0; i < 2; ++i)
+          read_corrected(honest, instants[i], clocks, config.start_offsets,
+                         out.corrections, readings[i]);
+        scored.clear();
         for (std::size_t c = 0; c < out.components.component_count; ++c) {
           members.clear();
           for (ProcessorId p : honest)
@@ -213,19 +225,29 @@ TrialResult run_trial(const SystemModel& model, const TrialConfig& config) {
           // A zone split inside (zoned solves group components by zone)
           // claims +inf: no guarantee to hold its members to.
           if (members.size() < 2 || !std::isfinite(claim)) continue;
+          scored.insert(scored.end(), members.begin(), members.end());
           const double bound =
               rho > 0.0 ? drift::drift_adjusted_bound(claim, rho,
                                                       result.window, allowance)
                         : claim;
-          double realized = 0.0;
-          for (const double t : instants)
-            realized = std::max(
-                realized, honest_spread(members, t, clocks,
-                                        config.start_offsets, out.corrections));
+          const double realized = std::max(spread(members, readings[0]),
+                                           spread(members, readings[1]));
           row.claimed = std::max(row.claimed, claim);
           row.bound = std::max(row.bound, bound);
           row.realized = std::max(row.realized, realized);
           if (realized > bound + config.tolerance) row.sound = false;
+        }
+        if (epoch.sync.zones != nullptr) {
+          result.zone_a_max_max =
+              std::max(result.zone_a_max_max, out.zone_a_max_max);
+          for (const std::vector<double>& reading : readings) {
+            const ZoneRealized split =
+                zone_split(reading, scored, *epoch.sync.zones);
+            result.realized_intra_max =
+                std::max(result.realized_intra_max, split.intra);
+            result.realized_cross_max =
+                std::max(result.realized_cross_max, split.cross);
+          }
         }
         // Thm 4.6 equality: the dense residue when bounded, the per-zone
         // and quotient residues of a zoned solve.

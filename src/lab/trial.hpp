@@ -114,6 +114,14 @@ struct TrialResult {
   double claimed_max{0.0};
   double bound_max{0.0};
   double realized_max{0.0};
+  /// Zoned trials (epoch.sync.zones set), 0 otherwise: the max per-zone
+  /// Ã^max over epochs (SyncOutcome::zone_a_max_max), and the max
+  /// within-zone and cross-zone honest corrected spreads (core/zones.hpp
+  /// zone_split) over the scored components, at the instants realized_max
+  /// is read.
+  double zone_a_max_max{0.0};
+  double realized_intra_max{0.0};
+  double realized_cross_max{0.0};
   /// Max Thm 4.6 equality residue: |ρ̄ − Ã^max| over bounded dense
   /// epochs, the per-zone and quotient residues over zoned ones.
   double thm46_gap{0.0};

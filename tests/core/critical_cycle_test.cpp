@@ -1,9 +1,11 @@
-#include "core/critical_cycle.hpp"
-
+// The Thm 4.4 witness SHIFTS returns: the policy cycle attaining Ã^max.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 
+#include "core/shifts.hpp"
 #include "core/synchronizer.hpp"
 #include "support/builders.hpp"
 
@@ -23,7 +25,7 @@ TEST(CriticalCycle, TwoNode) {
   DistanceMatrix ms(2);
   ms.at(0, 1) = 0.3;
   ms.at(1, 0) = 0.5;
-  const auto cycle = critical_cycle(ms, 0.4);
+  const auto cycle = compute_shifts(ms).critical_cycle;
   ASSERT_EQ(cycle.size(), 2u);
   EXPECT_NEAR(cycle_mean_of(ms, cycle), 0.4, 1e-12);
 }
@@ -42,22 +44,33 @@ TEST(CriticalCycle, PicksTheBindingCycle) {
       ms.at(p, q) = -5.0;
       ms.at(q, p) = -5.0;
     }
-  const auto cycle = critical_cycle(ms, 3.0);
+  const auto cycle = compute_shifts(ms).critical_cycle;
   ASSERT_FALSE(cycle.empty());
   const std::set<NodeId> members(cycle.begin(), cycle.end());
   EXPECT_TRUE(members == std::set<NodeId>({2, 3}));
   EXPECT_NEAR(cycle_mean_of(ms, cycle), 3.0, 1e-12);
 }
 
-TEST(CriticalCycle, SingleProcessorEmpty) {
-  EXPECT_TRUE(critical_cycle(DistanceMatrix(1), 0.0).empty());
+TEST(CriticalCycle, WitnessSumsToTheBitsOfAMax) {
+  // A 7-node ring of inexact weights dominates every other cycle.  Summed
+  // in the order the witness lists it, its mean must carry the very bits
+  // SHIFTS reports (floating-point addition is not associative, so another
+  // order or starting node may not).
+  const std::size_t n = 7;
+  DistanceMatrix ms(n);
+  for (std::size_t p = 0; p < n; ++p)
+    for (std::size_t q = 0; q < n; ++q)
+      if (p != q) ms.at(p, q) = -1.0;
+  for (std::size_t p = 0; p < n; ++p)
+    ms.at(p, (p + 1) % n) = 0.1 + static_cast<double>((p + 2) % n) / 3.0;
+  const ShiftsResult r = compute_shifts(ms);
+  ASSERT_EQ(r.critical_cycle.size(), n);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(cycle_mean_of(ms, r.critical_cycle)),
+            std::bit_cast<std::uint64_t>(r.a_max.finite()));
 }
 
-TEST(CriticalCycle, NoTightCycleWhenAMaxTooLarge) {
-  DistanceMatrix ms(2);
-  ms.at(0, 1) = 0.3;
-  ms.at(1, 0) = 0.5;
-  EXPECT_TRUE(critical_cycle(ms, 10.0).empty());
+TEST(CriticalCycle, SingleProcessorEmpty) {
+  EXPECT_TRUE(compute_shifts(DistanceMatrix(1)).critical_cycle.empty());
 }
 
 class CriticalCycleProperty : public ::testing::TestWithParam<std::uint64_t> {
@@ -72,8 +85,7 @@ TEST_P(CriticalCycleProperty, WitnessAttainsOptimalPrecision) {
   const auto views = sim.execution.views();
   const SyncOutcome out = synchronize(model, views);
   ASSERT_TRUE(out.bounded());
-  const auto cycle =
-      critical_cycle(out.ms_estimates, out.optimal_precision.finite());
+  const auto& cycle = out.critical_cycle;
   ASSERT_GE(cycle.size(), 2u);
   // All cycle nodes distinct.
   const std::set<NodeId> members(cycle.begin(), cycle.end());

@@ -3,18 +3,21 @@
 // ShiftsOptions::threads shards per-finiteness-component solves across the
 // work-stealing pool.  Components write disjoint slices of the result and
 // all float work stays inside one component, so the outputs must be
-// BIT-identical — not merely close — for any worker count, under both
-// cycle-mean algorithms and with warm-started Howard.  This is the same
-// contract the campaign engine pins for whole-campaign output.
+// BIT-identical — not merely close — for any worker count, cold and
+// warm-started.  This is the same contract the campaign engine pins for
+// whole-campaign output.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/shifts.hpp"
 #include "graph/arena.hpp"
+#include "support/cycle_mean_oracle.hpp"
 
 namespace cs {
 namespace {
@@ -65,18 +68,39 @@ void expect_identical(const ShiftsResult& a, const ShiftsResult& b) {
   EXPECT_EQ(a.components.component, b.components.component);
   EXPECT_EQ(a.components.component_count, b.components.component_count);
   EXPECT_EQ(a.policy, b.policy);
+  EXPECT_EQ(a.critical_cycle, b.critical_cycle);
   EXPECT_EQ(a.a_max.is_finite(), b.a_max.is_finite());
-  if (a.a_max.is_finite()) EXPECT_EQ(a.a_max.finite(), b.a_max.finite());
+  if (a.a_max.is_finite()) {
+    EXPECT_EQ(a.a_max.finite(), b.a_max.finite());
+  }
+}
+
+/// Karp oracle on the finite m̃s entries among `members`.
+double karp_on(const DistanceMatrix& ms, const std::vector<NodeId>& members) {
+  Digraph g(members.size());
+  for (NodeId i = 0; i < members.size(); ++i)
+    for (NodeId j = 0; j < members.size(); ++j)
+      if (i != j) g.add_edge(i, j, ms.at(members[i], members[j]));
+  return max_cycle_mean_karp(g).value_or(0.0);
 }
 
 TEST(ShiftsThreads, ByteIdenticalAcrossThreadCountsKarp) {
+  // Per-component Ã^max agrees with the Karp oracle within DESIGN.md's
+  // tolerance contract, and the whole result is byte-identical across
+  // thread counts.
   Rng rng(42);
   for (std::size_t n : {7u, 16u, 33u}) {
     for (std::size_t blocks : {2u, 3u, 5u}) {
       const DistanceMatrix ms = blocky_ms(n, blocks, rng);
       ShiftsOptions serial;
-      serial.algorithm = CycleMeanAlgorithm::kKarp;
       const ShiftsResult ref = compute_shifts(ms, serial);
+      const auto groups = ref.components.members();
+      ASSERT_EQ(groups.size(), blocks);
+      for (std::size_t c = 0; c < groups.size(); ++c) {
+        const double karp = karp_on(ms, groups[c]);
+        EXPECT_NEAR(ref.component_a_max[c], karp,
+                    1e-9 * std::max(1.0, std::fabs(karp)));
+      }
       for (std::size_t threads : {2u, 4u, 7u}) {
         ShiftsOptions par = serial;
         par.threads = threads;
@@ -92,7 +116,6 @@ TEST(ShiftsThreads, ByteIdenticalAcrossThreadCountsHoward) {
   Metrics metrics;
 
   ShiftsOptions serial;
-  serial.algorithm = CycleMeanAlgorithm::kHoward;
   serial.metrics = &metrics;
   const ShiftsResult cold = compute_shifts(ms, serial);
 

@@ -195,6 +195,14 @@ TEST(ZonedSync, SyncOptionsZonesRoutesThroughSynchronize) {
   EXPECT_EQ(faced.corrections, direct.corrections);
   EXPECT_EQ(faced.ms_estimates.size(), 0u);  // never materialized
   EXPECT_EQ(faced.components.component_count, 1u);
+  // The composed bound is no single cycle's mean, so there is no witness;
+  // the per-zone optima are summarized instead.
+  EXPECT_TRUE(faced.critical_cycle.empty());
+  double zone_a_max_max = 0.0;
+  for (const ZoneStats& z : direct.zones)
+    if (z.bounded) zone_a_max_max = std::max(zone_a_max_max, z.a_max);
+  EXPECT_GT(zone_a_max_max, 0.0);
+  EXPECT_EQ(faced.zone_a_max_max, zone_a_max_max);
 }
 
 // ---------------------------------------------------------------------------
@@ -228,6 +236,30 @@ TEST(ZoneRealizedPrecision, MatchesBruteForceSplit) {
   EXPECT_DOUBLE_EQ(got.intra, intra);
   EXPECT_DOUBLE_EQ(got.cross, cross);
   EXPECT_EQ(got.overall, realized_precision(starts, x));
+
+  // zone_split over a subset of the processors (as the epoch trial scores
+  // only the honest agents), with zone 0 left without any member.
+  std::vector<double> d(n);
+  std::vector<NodeId> members;
+  for (std::size_t p = 0; p < n; ++p) {
+    d[p] = starts[p].sec - x[p];
+    if (p % 3 != 0 && plan.zone_of[p] != 0)
+      members.push_back(static_cast<NodeId>(p));
+  }
+  overall = intra = cross = 0.0;
+  for (const NodeId p : members)
+    for (const NodeId q : members) {
+      const double diff = d[p] - d[q];
+      overall = std::max(overall, diff);
+      if (plan.zone_of[p] == plan.zone_of[q])
+        intra = std::max(intra, diff);
+      else
+        cross = std::max(cross, diff);
+    }
+  const ZoneRealized sub = zone_split(d, members, plan);
+  EXPECT_DOUBLE_EQ(sub.overall, overall);
+  EXPECT_DOUBLE_EQ(sub.intra, intra);
+  EXPECT_DOUBLE_EQ(sub.cross, cross);
 }
 
 TEST(ZoneRealizedPrecision, RejectsSizeMismatch) {

@@ -7,7 +7,12 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/global_estimates.hpp"
+#include "core/local_estimates.hpp"
 #include "graph/arena.hpp"
+#include "lab/topo.hpp"
+#include "support/builders.hpp"
+#include "support/cycle_mean_oracle.hpp"
 
 namespace cs {
 namespace {
@@ -228,6 +233,26 @@ TEST(CycleMean, KarpDenseEqualsGraphKarpBitForBit) {
         CompleteGraph(k, [&] { return rng.uniform_int(2) ? 0.0 : -0.0; }),
         arena);
   }
+}
+
+TEST(CycleMean, FabricKarpDenseBitEqualToGraphKarp) {
+  // The two Karp oracles on the m̃s matrix of a real 302-agent datacenter
+  // fabric (dc 2 12 24, the repository benchmark's shape): the dense kernel
+  // must carry the very bits of the Digraph kernel on the same complete
+  // graph.
+  SystemModel model =
+      test::bounded_model(lab::make_datacenter(2, 12, 24), 0.002, 0.008);
+  const SimResult sim = test::run_ping_pong(model, 1, 0.2);
+  const DistanceMatrix ms = global_shift_estimates(
+      local_shift_estimates(model, sim.execution.views()));
+  ASSERT_EQ(ms.size(), 302u);
+  const std::size_t k = ms.size();
+  CompleteGraph c(k, [] { return 0.0; });
+  for (std::size_t p = 0; p < k; ++p)
+    for (std::size_t q = 0; q < k; ++q)
+      if (p != q) c.w[p * k + q] = ms.at(p, q);
+  EpochArena arena;
+  expect_karp_dense_bits(c, arena);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CycleMeanRandom,

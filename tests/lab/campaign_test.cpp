@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 
@@ -317,6 +318,20 @@ TEST(CampaignDrift, DriftAndByzComposeWithFaultsZonesAndEachOther) {
     if (drifting && byzantine) {
       EXPECT_EQ(r.byz_detected, 0u);
     }
+    if (zoned && (drifting || byzantine)) {
+      // The trial measures the per-zone Ã^max and the intra/cross split of
+      // the honest spread; none of them may read a made-up 0.
+      EXPECT_GT(r.zone_a_max_max, 0.0) << "task " << task.index;
+      EXPECT_GT(r.realized_intra, 0.0) << "task " << task.index;
+      EXPECT_GT(r.realized_cross, 0.0) << "task " << task.index;
+      // Every scored pair is either within a zone or across zones.
+      EXPECT_GE(std::max(r.realized_intra, r.realized_cross), r.realized)
+          << "task " << task.index;
+      if (!faulty) {
+        EXPECT_EQ(std::max(r.realized_intra, r.realized_cross), r.realized)
+            << "task " << task.index;
+      }
+    }
     saw[0] = saw[0] || (byzantine && zoned);
     saw[1] = saw[1] || (byzantine && drifting);
     saw[2] = saw[2] || (drifting && faulty);
@@ -338,6 +353,12 @@ TEST(CampaignDrift, DriftAndByzComposeWithFaultsZonesAndEachOther) {
   write_report_csv(cb, b);
   EXPECT_EQ(ja.str(), jb.str());
   EXPECT_EQ(ca.str(), cb.str());
+  for (const CellStats& cell : a.cells) {
+    if (!cell.zoned) continue;
+    EXPECT_GT(cell.zone_a_max_max, 0.0) << "cell " << cell.cell;
+    EXPECT_GT(cell.realized_intra_max, 0.0) << "cell " << cell.cell;
+    EXPECT_GT(cell.realized_cross_max, 0.0) << "cell " << cell.cell;
+  }
 }
 
 TEST(CampaignDrift, DetectedDriftEpochsFailTheCheck) {

@@ -32,7 +32,6 @@ Trace exhaustive_trace() {
   t.plan.incremental = false;
   t.plan.options.sync.root = 1;
   t.plan.options.sync.apsp = ApspAlgorithm::kFloydWarshall;
-  t.plan.options.sync.cycle_mean = CycleMeanAlgorithm::kHoward;
   t.plan.options.sync.match = MatchPolicy::kDropOrphans;
   t.plan.options.window = Duration{0.75};
   t.plan.options.staleness.carry_forward = true;
@@ -148,8 +147,6 @@ TEST(TraceFormat, RoundTripExact) {
   EXPECT_EQ(back.plan.incremental, t.plan.incremental);
   EXPECT_EQ(back.plan.options.sync.root, t.plan.options.sync.root);
   EXPECT_EQ(back.plan.options.sync.apsp, t.plan.options.sync.apsp);
-  EXPECT_EQ(back.plan.options.sync.cycle_mean,
-            t.plan.options.sync.cycle_mean);
   EXPECT_EQ(back.plan.options.sync.match, t.plan.options.sync.match);
   EXPECT_EQ(back.plan.options.window.sec, t.plan.options.window.sec);
   EXPECT_EQ(back.plan.options.staleness.carry_forward,
@@ -269,6 +266,33 @@ TEST(TraceFormatErrors, EventFieldCountMismatch) {
   const std::string msg = trace_error(out.str());
   EXPECT_NE(msg.find("line " + std::to_string(event_line)),
             std::string::npos)
+      << msg;
+}
+
+TEST(TraceFormatErrors, RetiredCycleMeanRecordRejected) {
+  // SHIFTS has one solver, so the plan no longer records one: a trace
+  // that still carries the old `cycle-mean` line is refused as an unknown
+  // record at that line, not silently accepted.
+  std::stringstream ss;
+  save_trace(ss, exhaustive_trace());
+  std::istringstream in(ss.str());
+  std::ostringstream out;
+  std::string line;
+  std::size_t n = 0, record_line = 0;
+  while (std::getline(in, line)) {
+    out << line << '\n';
+    ++n;
+    if (line.rfind("apsp ", 0) == 0) {
+      out << "cycle-mean karp\n";
+      record_line = ++n;
+    }
+  }
+  ASSERT_NE(record_line, 0u);
+  const std::string msg = trace_error(out.str());
+  EXPECT_NE(msg.find("line " + std::to_string(record_line) + ":"),
+            std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("unknown record 'cycle-mean'"), std::string::npos)
       << msg;
 }
 

@@ -213,13 +213,6 @@ SyncOptions sync_options_from(const Args& args) {
   else
     usage_fail("--apsp must be johnson or floyd-warshall, got '" + apsp +
                "'");
-  const std::string cm = args.get("--cycle-mean", "karp");
-  if (cm == "karp")
-    opts.cycle_mean = CycleMeanAlgorithm::kKarp;
-  else if (cm == "howard")
-    opts.cycle_mean = CycleMeanAlgorithm::kHoward;
-  else
-    usage_fail("--cycle-mean must be karp or howard, got '" + cm + "'");
   const std::string match = args.get("--match", "strict");
   if (match == "strict")
     opts.match = MatchPolicy::kStrict;
@@ -817,7 +810,7 @@ subcommands:
 
 common flags:
   --json                   machine-readable output
-  --root N --apsp johnson|floyd-warshall --cycle-mean karp|howard
+  --root N --apsp johnson|floyd-warshall
   --match strict|drop-orphans
 
 simulate flags:
@@ -882,7 +875,7 @@ int main(int argc, char** argv) {
   }
   try {
     const std::set<std::string> valued{
-        "--root",     "--apsp",      "--cycle-mean", "--match",
+        "--root",     "--apsp",      "--match",
         "--topology", "--n",         "--lower",      "--upper",
         "--model",    "--proto",     "--rounds",     "--spacing",
         "--warmup",   "--period",    "--count",      "--seed",
